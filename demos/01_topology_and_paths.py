@@ -8,7 +8,7 @@ contributes three servers and sits one hop further from the user.
 
 import numpy as np
 
-from sdnlb import all_pairs_shortest_paths, build_paper_topology, server_features
+from sdnlb import build_paper_topology
 
 topo = build_paper_topology()
 
@@ -23,8 +23,9 @@ for link in topo.links:
 
 # Hop-minimal all-pairs shortest paths over the switch graph. Ties on hop
 # count prefer lower accumulated delay, then the earliest switch id, so the
-# matrices are reproducible run to run.
-paths = all_pairs_shortest_paths(topo)
+# matrices are reproducible run to run. The topology computes them once, on
+# first use, and every later caller shares the result.
+paths = topo.paths
 print("\nhop matrix (rows/cols:", ", ".join(paths.switch_ids), ")")
 print(paths.hops)
 print("\naccumulated delay matrix (ms):")
@@ -34,7 +35,7 @@ print("\nchosen route s1 -> s7:", " -> ".join(paths.path("s1", "s7")))
 
 # Each server becomes a 2-D point: hops and delay from the user switch to
 # its attached switch. These points are the clustering input.
-features = server_features(topo, paths)
+features = topo.features
 print("\nserver features (hops, delay ms):")
 for server, point in zip(features.server_ids, features.points):
     print(f"  {server:<4} ({point[0]:g}, {point[1]:g})")

@@ -6,17 +6,10 @@ clusters the server-bearing switches there. Both report centroids in
 (hops, delay) units and order clusters nearest-first.
 """
 
-from sdnlb import (
-    ClusteringConfig,
-    all_pairs_shortest_paths,
-    build_paper_topology,
-    kmeans_cluster,
-    server_features,
-    spectral_cluster,
-)
+from sdnlb import ClusteringConfig, build_paper_topology, kmeans_cluster, spectral_cluster
 
 topo = build_paper_topology()
-features = server_features(topo, all_pairs_shortest_paths(topo))
+features = topo.features
 config = ClusteringConfig(k=3, rng_seed=0)
 
 

@@ -10,28 +10,24 @@ minimized mid-range.
 from sdnlb import (
     ClusteringConfig,
     EqualPerCluster,
-    all_pairs_shortest_paths,
-    assign_request,
     build_paper_topology,
     build_pools,
     distribute_requests,
     kmeans_cluster,
     pool_export,
-    server_features,
     table1,
 )
 
 topo = build_paper_topology()
-features = server_features(topo, all_pairs_shortest_paths(topo))
-model = kmeans_cluster(features, ClusteringConfig(k=3, rng_seed=0))
-pools = build_pools(model, features)
+model = kmeans_cluster(topo.features, ClusteringConfig(k=3, rng_seed=0))
+pools = build_pools(model, topo.features)
 
 print("pools (priority order):")
 for pool in pools.pools:
     print(f"  pool {pool.cluster_index}: {', '.join(pool.members)}  centroid {pool.centroid}")
 
 print("\nten sequential requests to the nearest pool:")
-print(" ", [assign_request(pools, 0) for _ in range(10)])
+print(" ", [pools.pool(0).take() for _ in range(10)])
 
 print("\n30 requests split equally over the three pools:")
 counts = distribute_requests(pools.copy(), 30, EqualPerCluster())

@@ -12,19 +12,16 @@ from sdnlb import (
     ClusteringConfig,
     Scenario,
     SingleServerBurst,
-    all_pairs_shortest_paths,
     build_paper_topology,
     build_pools,
     compare_reports,
     kmeans_cluster,
     run_experiment,
-    server_features,
 )
 
 topo = build_paper_topology()
-features = server_features(topo, all_pairs_shortest_paths(topo))
-model = kmeans_cluster(features, ClusteringConfig(k=3, rng_seed=0))
-pools = build_pools(model, features)
+model = kmeans_cluster(topo.features, ClusteringConfig(k=3, rng_seed=0))
+pools = build_pools(model, topo.features)
 
 reports = []
 for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10)):

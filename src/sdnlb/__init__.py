@@ -16,7 +16,6 @@ from .allocator import (
     PoolSet,
     SingleCluster,
     SingleServer,
-    assign_request,
     avg_load_largest_cluster,
     build_pools,
     dispatch_sequence,
@@ -25,18 +24,17 @@ from .allocator import (
     table1,
 )
 from .clustering import (
+    METHODS,
     ClusteringConfig,
     ClusteringError,
     ClusterModel,
-    SimilarityMatrix,
-    brute_force_kmeans,
+    cluster,
     cluster_model_document,
     effective_k,
     kmeans_cluster,
     kmeanspp_seed,
     lloyd,
     normalized_laplacian,
-    similarity_matrix,
     spectral_cluster,
     spectral_embedding,
     sym_eigendecomposition,
@@ -52,7 +50,6 @@ from .simulator import (
     SimulationError,
     SingleServerBurst,
     compare_reports,
-    is_max_min_fair,
     max_min_fair_rates,
     report_csv,
     run_experiment,

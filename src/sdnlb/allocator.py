@@ -47,7 +47,6 @@ class Pool:
 @dataclass
 class PoolSet:
     pools: list[Pool]
-    policy: str = "round_robin"
 
     def pool(self, cluster_index: int) -> Pool:
         for pool in self.pools:
@@ -59,7 +58,7 @@ class PoolSet:
         return tuple(s for pool in self.pools for s in pool.members)
 
     def copy(self) -> "PoolSet":
-        return PoolSet([p.copy() for p in self.pools], self.policy)
+        return PoolSet([p.copy() for p in self.pools])
 
 
 # -- dispatch targets -------------------------------------------------------
@@ -104,11 +103,6 @@ def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
             )
         )
     return PoolSet(pools=pools)
-
-
-def assign_request(pools: PoolSet, cluster_index: int) -> str:
-    """Round-robin one request through the pool for cluster_index."""
-    return pools.pool(cluster_index).take()
 
 
 def dispatch_sequence(pools: PoolSet, total_requests: int, split: Split) -> list[str]:

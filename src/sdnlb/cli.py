@@ -18,10 +18,10 @@ from pathlib import Path
 from . import service as service_mod
 from .allocator import build_pools, table1, truncate_fraction
 from .clustering import (
+    METHODS,
     ClusteringConfig,
+    cluster,
     cluster_model_document,
-    kmeans_cluster,
-    spectral_cluster,
 )
 from .simulator import (
     BigClusterRR,
@@ -34,10 +34,9 @@ from .simulator import (
 )
 from .topology import (
     Topology,
-    all_pairs_shortest_paths,
+    all_pairs_shortest_paths,  # noqa: F401 - importable as sdnlb.cli.all_pairs_shortest_paths
     build_paper_topology,
     load_topology,
-    server_features,
 )
 
 
@@ -56,18 +55,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _model(topology, k, method, seed):
-    config = ClusteringConfig(k=k, rng_seed=seed)
-    paths = all_pairs_shortest_paths(topology)
-    features = server_features(topology, paths)
-    if method == "spectral":
-        return spectral_cluster(topology, config), features
-    return kmeans_cluster(features, config), features
+    return cluster(topology, ClusteringConfig(k=k, rng_seed=seed), method)
 
 
 def cmd_cluster(args) -> int:
     topology = _load(args.topology)
-    model, features = _model(topology, args.k, args.method, args.seed)
-    document = cluster_model_document(model, features)
+    model = _model(topology, args.k, args.method, args.seed)
+    document = cluster_model_document(model, topology.features)
     document = {"method": args.method, "seed": args.seed, **document}
     _emit(json.dumps(document, indent=2) + "\n", args.out)
     return 0
@@ -95,8 +89,8 @@ def cmd_table1(args) -> int:
 
 
 def _scenario(topology, args):
-    model, features = _model(topology, args.k, args.method, args.seed)
-    pools = build_pools(model, features)
+    model = _model(topology, args.k, args.method, args.seed)
+    pools = build_pools(model, topology.features)
     if args.state == "single-server":
         if not args.target:
             raise SystemExit("--state single-server requires --target <server-id>")
@@ -120,16 +114,16 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _clusters_csv(models: dict) -> str:
+def _clusters_csv(models: dict, server_ids: tuple[str, ...]) -> str:
     lines = ["method,cluster,mean_hops,mean_delay_ms,size,members"]
-    for method, (model, features) in models.items():
-        for cluster in model.priority_order:
+    for method, model in models.items():
+        for index in model.priority_order:
             members = [
-                sid for sid, c in zip(features.server_ids, model.assignment) if c == cluster
+                sid for sid, c in zip(server_ids, model.assignment) if c == index
             ]
-            hops, delay = model.centroids[cluster]
+            hops, delay = model.centroids[index]
             lines.append(
-                f"{method},{cluster},{hops:.4f},{delay:.4f},{len(members)},{';'.join(members)}"
+                f"{method},{index},{hops:.4f},{delay:.4f},{len(members)},{';'.join(members)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -148,12 +142,12 @@ def cmd_paper_repro(args) -> int:
 
     # clustering (both methods, k = 3)
     models = {}
-    for method in ("kmeans", "spectral"):
-        model, features = _model(topology, 3, method, args.seed)
-        models[method] = (model, features)
-    (out_dir / "clusters.csv").write_text(_clusters_csv(models))
+    for method in METHODS:
+        models[method] = _model(topology, 3, method, args.seed)
+    features = topology.features
+    (out_dir / "clusters.csv").write_text(_clusters_csv(models, features.server_ids))
 
-    km_model, features = models["kmeans"]
+    km_model = models["kmeans"]
     ordered = [km_model.centroids[c] for c in km_model.priority_order]
     check("kmeans centroid hops are 1,2,3", [c[0] for c in ordered] == [1.0, 2.0, 3.0])
     check(
@@ -226,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, k_default=3):
         p.add_argument("--topology", help="topology document (JSON); defaults to the bundled 4-level topology")
         p.add_argument("--k", type=int, default=k_default)
-        p.add_argument("--method", choices=("kmeans", "spectral"), default="kmeans")
+        p.add_argument("--method", choices=METHODS, default="kmeans")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (default: stdout)")
 

@@ -2,21 +2,24 @@
 clustering on the switch adjacency graph.
 
 Both paths share the same seeded D²-sampling initializer and Lloyd refiner,
-so a fixed seed yields a bit-identical model on every run.
+so a fixed seed yields a bit-identical model on every run. cluster() is the
+one entry point that picks a method by name.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import SplitMix64
-from .topology import FeatureSet, Topology, all_pairs_shortest_paths, server_features
+from .topology import FeatureSet, Topology
 
-DEFAULT_RESTARTS = 10
+METHODS = ("kmeans", "spectral")
+MAX_ITERATIONS = 100
+TOLERANCE = 1e-9
+RESTARTS = 10
 
 
 class ClusteringError(ValueError):
@@ -26,21 +29,11 @@ class ClusteringError(ValueError):
 @dataclass(frozen=True)
 class ClusteringConfig:
     k: int
-    max_iterations: int = 100
-    tolerance: float = 1e-9
     rng_seed: int = 0
-    normalize_features: bool = False
-    restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
         if self.k < 1:
             raise ClusteringError("k must be >= 1")
-        if self.max_iterations < 1:
-            raise ClusteringError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise ClusteringError("tolerance must be >= 0")
-        if self.restarts < 1:
-            raise ClusteringError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,8 @@ class ClusterModel:
 
     assignment is parallel to the FeatureSet it was fitted on; centroids are
     (mean_hops, mean_delay_ms) in original feature units; sse is measured in
-    the space the clustering actually ran in (normalized or embedding space
-    where applicable); priority_order lists cluster indices ascending by
+    the space the clustering actually ran in (the spectral embedding for
+    spectral clustering); priority_order lists cluster indices ascending by
     (mean_hops, mean_delay_ms). Labels are canonical: clusters are numbered
     by priority rank, so priority_order is the identity permutation.
     sse_trace records per-iteration SSE of the winning run.
@@ -65,16 +58,6 @@ class ClusterModel:
     @property
     def n_clusters(self) -> int:
         return len(self.centroids)
-
-    def members(self, cluster: int) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.assignment) if c == cluster)
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarityMatrix:
-    switch_ids: tuple[str, ...]
-    entries: np.ndarray
-    kind: str = "adjacency"
 
 
 def effective_k(requested_k: int, n_points: int) -> int:
@@ -135,9 +118,11 @@ def _reseed_empty(
 
 
 def _lloyd(
-    points: np.ndarray, initial_centroids: np.ndarray, config: ClusteringConfig
+    points: np.ndarray, initial_centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[float, ...]]:
-    """Lloyd refinement. Returns (assignment, centroids, sse, sse_trace)."""
+    """Lloyd refinement, at most MAX_ITERATIONS rounds, stopping once the
+    assignment is stable or SSE improves by less than TOLERANCE. Returns
+    (assignment, centroids, sse, sse_trace)."""
     k = len(initial_centroids)
     if k < 1:
         raise ClusteringError("need at least one initial centroid")
@@ -149,7 +134,7 @@ def _lloyd(
     trace: list[float] = []
     prev_sse = math.inf
     sse = math.inf
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
         if (np.bincount(new_assignment, minlength=k) == 0).any():
@@ -160,7 +145,7 @@ def _lloyd(
         trace.append(sse)
         stable = bool(np.array_equal(new_assignment, assignment))
         assignment = new_assignment
-        if stable or prev_sse - sse < config.tolerance:
+        if stable or prev_sse - sse < TOLERANCE:
             break
         prev_sse = sse
     return assignment, centroids, sse, tuple(trace)
@@ -169,8 +154,10 @@ def _lloyd(
 def lloyd(
     features: FeatureSet, initial_centroids: np.ndarray, config: ClusteringConfig
 ) -> ClusterModel:
-    """Run Lloyd refinement from the given centroids over raw features."""
-    assignment, centroids, sse, trace = _lloyd(features.array, initial_centroids, config)
+    """Run Lloyd refinement from the given centroids over raw features
+    (config is accepted for symmetry with kmeans_cluster; nothing in it
+    changes the refinement)."""
+    assignment, centroids, sse, trace = _lloyd(features.array, initial_centroids)
     return _model_from(assignment, centroids, sse, trace)
 
 
@@ -202,10 +189,10 @@ def _best_of_restarts(
     """Seeded restarts; keeps the lowest-SSE run (ties: earliest restart)."""
     seed_stream = SplitMix64(config.rng_seed)
     best = None
-    for _ in range(config.restarts):
+    for _ in range(RESTARTS):
         rng = SplitMix64(seed_stream.next_u64())
         initial = _d2_seed(points, k, rng)
-        result = _lloyd(points, initial, config)
+        result = _lloyd(points, initial)
         if best is None or result[2] < best[2]:
             best = result
     return best
@@ -214,55 +201,15 @@ def _best_of_restarts(
 def kmeans_cluster(features: FeatureSet, config: ClusteringConfig) -> ClusterModel:
     """k-means++ with Lloyd refinement over (hops, delay) server features.
 
-    Runs config.restarts seeded restarts and keeps the lowest-SSE model.
-    Centroids are reported in original units even when normalize_features
-    is on; sse stays in the space the clustering ran in.
+    Runs RESTARTS seeded restarts and keeps the lowest-SSE model.
     """
     k = effective_k(config.k, len(features))
-    raw = features.array
-    points = _minmax_scale(raw) if config.normalize_features else raw
-    assignment, _, sse, trace = _best_of_restarts(points, k, config)
-    centroids = np.stack([raw[assignment == c].mean(axis=0) for c in range(k)])
+    points = features.array
+    assignment, centroids, sse, trace = _best_of_restarts(points, k, config)
     return _model_from(assignment, centroids, sse, trace)
 
 
-def _minmax_scale(points: np.ndarray) -> np.ndarray:
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    span[span == 0.0] = 1.0  # constant dimensions map to 0
-    return (points - lo) / span
-
-
-def brute_force_kmeans(features: FeatureSet, k: int) -> float:
-    """Exact minimum SSE over all surjective assignments (test oracle).
-
-    Enumerates every assignment of points to k non-empty clusters; only
-    usable for small instances (<= 10 points).
-    """
-    points = features.array
-    n = len(points)
-    if n > 10:
-        raise ClusteringError("brute force oracle limited to 10 points")
-    k = effective_k(k, n)
-    best = math.inf
-    for assign in itertools.product(range(k), repeat=n):
-        if len(set(assign)) != k:
-            continue
-        labels = np.asarray(assign)
-        sse = 0.0
-        for c in range(k):
-            members = points[labels == c]
-            sse += float(((members - members.mean(axis=0)) ** 2).sum())
-        best = min(best, sse)
-    return best
-
-
 # -- spectral clustering ----------------------------------------------------
-
-
-def similarity_matrix(topology: Topology) -> SimilarityMatrix:
-    """Binary switch adjacency (1 iff a link joins the pair), zero diagonal."""
-    return SimilarityMatrix(switch_ids=topology.switch_ids, entries=topology.switch_adjacency())
 
 
 def sym_eigendecomposition(
@@ -350,24 +297,23 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     one server. Centroids are reported in (hops, delay) units for
     comparability with the feature-space path.
     """
-    sim = similarity_matrix(topology)
-    degrees = sim.entries.sum(axis=1)
-    for sid, degree in zip(sim.switch_ids, degrees):
+    adjacency = topology.switch_adjacency()
+    degrees = adjacency.sum(axis=1)
+    for sid, degree in zip(topology.switch_ids, degrees):
         if degree == 0.0:
             raise ClusteringError(
                 f"switch '{sid}' has no switch links; spectral clustering needs degree >= 1"
             )
 
-    paths = all_pairs_shortest_paths(topology)
-    features = server_features(topology, paths)
-    switch_index = {s: i for i, s in enumerate(sim.switch_ids)}
+    features = topology.features
+    switch_index = {s: i for i, s in enumerate(topology.switch_ids)}
     bearing = sorted(
         {topology.attached_switch(server) for server in features.server_ids},
         key=lambda s: switch_index[s],
     )
     k = effective_k(config.k, len(bearing))
 
-    embedding = spectral_embedding(sim.entries, k)
+    embedding = spectral_embedding(adjacency, k)
     rows = embedding[[switch_index[s] for s in bearing]]
     switch_assignment, _, sse, trace = _best_of_restarts(rows, k, config)
     by_switch = {s: int(c) for s, c in zip(bearing, switch_assignment)}
@@ -379,6 +325,15 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     raw = features.array
     centroids = np.stack([raw[assignment == c].mean(axis=0) for c in range(k)])
     return _model_from(assignment, centroids, sse, trace)
+
+
+def cluster(topology: Topology, config: ClusteringConfig, method: str = "kmeans") -> ClusterModel:
+    """Cluster the topology's servers with the named method (one of METHODS)."""
+    if method == "kmeans":
+        return kmeans_cluster(topology.features, config)
+    if method == "spectral":
+        return spectral_cluster(topology, config)
+    raise ClusteringError(f"method must be one of {METHODS}, got {method!r}")
 
 
 # -- serialization ----------------------------------------------------------

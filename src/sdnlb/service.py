@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import json
 import threading
-from fractions import Fraction
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import allocator, clustering
 from .allocator import EqualPerCluster, SingleCluster, dispatch_sequence
-from .clustering import ClusteringConfig, ClusteringError
-from .topology import TopologyError, all_pairs_shortest_paths, load_topology, natural_key, server_features
-
-_METHODS = ("kmeans", "spectral")
+from .clustering import METHODS, ClusteringConfig, ClusteringError
+from .topology import TopologyError, load_topology, natural_key
 
 
 class ServiceError(Exception):
@@ -49,12 +47,11 @@ class LoadBalancerService:
 
     def _reset(self) -> None:
         self.topology = None
-        self.features = None
-        self.model = None
         self.pools = None
         self.counters: dict[str, int] = {}
+        # (k, method, seed) -> (document, model); PUT /topology clears it
         self._model_key = None
-        self._cluster_cache: dict[tuple, dict] = {}
+        self._cluster_cache: dict[tuple, tuple] = {}
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -79,31 +76,23 @@ class LoadBalancerService:
                 raise ServiceError(409, "no topology", "upload a topology with PUT /topology first")
             if k < 1:
                 raise ServiceError(400, "invalid k", f"k must be >= 1, got {k}")
-            if method not in _METHODS:
-                raise ServiceError(400, "invalid method", f"method must be one of {_METHODS}")
-            key = (self.topology.fingerprint(), k, method, seed)
+            if method not in METHODS:
+                raise ServiceError(400, "invalid method", f"method must be one of {METHODS}")
+            key = (k, method, seed)
             if key == self._model_key:
                 return self._cluster_cache[key][0]
 
-            if key in self._cluster_cache:
-                document, model, features = self._cluster_cache[key]
-            else:
-                config = ClusteringConfig(k=k, rng_seed=seed)
-                paths = all_pairs_shortest_paths(self.topology)
-                features = server_features(self.topology, paths)
+            features = self.topology.features
+            if key not in self._cluster_cache:
                 try:
-                    if method == "kmeans":
-                        model = clustering.kmeans_cluster(features, config)
-                    else:
-                        model = clustering.spectral_cluster(self.topology, config)
+                    model = clustering.cluster(self.topology, ClusteringConfig(k=k, rng_seed=seed), method)
                 except ClusteringError as exc:
                     raise ServiceError(422, "clustering failed", str(exc)) from exc
                 document = clustering.cluster_model_document(model, features)
                 document = {"requested_k": k, "method": method, "seed": seed, **document}
-                self._cluster_cache[key] = (document, model, features)
+                self._cluster_cache[key] = (document, model)
 
-            self.features = features
-            self.model = model
+            document, model = self._cluster_cache[key]
             self.pools = allocator.build_pools(model, features)
             self._model_key = key
             return document
@@ -132,12 +121,10 @@ class LoadBalancerService:
             else:
                 raise ServiceError(400, "invalid target", f"target must be 'auto' or a cluster index, got {target!r}")
             assignments = dispatch_sequence(self.pools, count, split)
-            for server in assignments:
-                self.counters[server] += 1
-            counts: dict[str, int] = {}
-            for server in assignments:
-                counts[server] = counts.get(server, 0) + 1
-            return {"assignments": assignments, "counts": counts, "total": len(assignments)}
+            counts = Counter(assignments)
+            for server, n in counts.items():
+                self.counters[server] += n
+            return {"assignments": assignments, "counts": dict(counts), "total": len(assignments)}
 
     def get_stats(self) -> dict:
         with self._lock:
@@ -150,16 +137,7 @@ class LoadBalancerService:
                 per_cluster = {}
                 for pool in self.pools.pools:
                     per_cluster[str(pool.cluster_index)] = sum(counters[s] for s in pool.members)
-                k = len(self.pools.pools)
-                n = len(counters)
-                summary = allocator.LoadSummary(
-                    n_servers=n,
-                    k=k,
-                    requests=total,
-                    avg_servers_per_cluster=Fraction(n, k),
-                    capacity_multiplier_pct=100 * k,
-                    avg_load_largest_cluster=allocator.avg_load_largest_cluster(total, k, n),
-                )
+                summary = allocator.table1(len(counters), total, [len(self.pools.pools)])[0]
                 body["per_cluster_requests"] = per_cluster
                 body["load_summary"] = {
                     "n_servers": summary.n_servers,
@@ -197,7 +175,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError(
+                400, "invalid content-length", f"Content-Length must be a non-negative integer, got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw) if raw else {}
@@ -264,7 +250,7 @@ def make_server(host: str = "127.0.0.1", port: int = 0,
 def serve(host: str, port: int) -> None:
     server = make_server(host, port)
     address = server.server_address
-    print(f"sdnlb service listening on http://{address[0]}:{address[1]}")
+    print(f"sdnlb service listening on http://{address[0]}:{address[1]}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

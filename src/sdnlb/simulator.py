@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocator import Pool, PoolSet, SingleCluster, dispatch_sequence
-from .topology import PathMatrix, Topology, all_pairs_shortest_paths, natural_key
+from .allocator import PoolSet, SingleCluster, dispatch_sequence
+from .topology import PathMatrix, Topology, natural_key
 
 DEFAULT_DURATION_S = 10.0
 DEFAULT_RTT_WINDOW_BYTES = 65536.0
@@ -178,47 +178,6 @@ def _check_conservation(rates, flow_links, capacity) -> None:
             raise SimulationError(f"link {key[0]}-{key[1]} oversubscribed: {load} Mbps")
 
 
-def is_max_min_fair(
-    flows: list[Flow],
-    rates: np.ndarray,
-    topology: Topology,
-    rtt_window_bytes: float = DEFAULT_RTT_WINDOW_BYTES,
-    tol: float = 1e-9,
-) -> bool:
-    """Definition-level fairness check (independent of the solver): every
-    flow is either at its window/RTT cap or has a saturated bottleneck link
-    on which it holds the maximum rate."""
-    capacity: dict[tuple[str, str], float] = {l.key: l.capacity_mbps for l in topology.links}
-    loads: dict[tuple[str, str], float] = {}
-    links_of = []
-    for flow, rate in zip(flows, rates):
-        keys = [tuple(sorted((a, b), key=natural_key)) for a, b in zip(flow.path, flow.path[1:])]
-        links_of.append(keys)
-        for key in keys:
-            loads[key] = loads.get(key, 0.0) + float(rate)
-
-    for key, load in loads.items():
-        if load > capacity[key] + tol:
-            return False
-
-    max_on_link = {key: 0.0 for key in loads}
-    for keys, rate in zip(links_of, rates):
-        for key in keys:
-            max_on_link[key] = max(max_on_link[key], float(rate))
-
-    for flow, keys, rate in zip(flows, links_of, rates):
-        cap = window_rate_cap_mbps(rtt_window_bytes, flow.rtt_ms)
-        if rate > cap + tol:
-            return False
-        at_cap = math.isfinite(cap) and abs(rate - cap) <= tol
-        bottlenecked = any(
-            loads[key] >= capacity[key] - tol and rate >= max_on_link[key] - tol for key in keys
-        )
-        if not (at_cap or bottlenecked):
-            return False
-    return True
-
-
 # -- experiments --------------------------------------------------------------
 
 
@@ -232,9 +191,12 @@ def _request_counts(scenario: Scenario) -> dict[str, int]:
             raise SimulationError(f"unknown server '{state.server_id}'")
         counts[state.server_id] = state.requests
     elif isinstance(state, BigClusterRR):
-        big = PoolSet([Pool(cluster_index=0, members=tuple(servers), centroid=(0.0, 0.0))])
-        for server in dispatch_sequence(big, state.requests, SingleCluster(0)):
-            counts[server] += 1
+        # round robin over one pool of every server, from the first
+        if not servers:
+            raise SimulationError("big-cluster state needs at least one server")
+        base, extra = divmod(state.requests, len(servers))
+        for position, server in enumerate(servers):
+            counts[server] = base + (1 if position < extra else 0)
     elif isinstance(state, ClusteredRR):
         for pool in pools.pools:
             for server in dispatch_sequence(
@@ -267,8 +229,7 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     per-server requests, transferred megabytes, and bandwidth."""
     topology = scenario.topology
     counts = _request_counts(scenario)
-    paths = all_pairs_shortest_paths(topology)
-    flows = build_flows(topology, counts, paths)
+    flows = build_flows(topology, counts, topology.paths)
     rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
     flows = [replace(f, rate_mbps=float(r)) for f, r in zip(flows, rates)]
 

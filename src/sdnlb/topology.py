@@ -4,7 +4,8 @@ A topology is an undirected graph of switches plus host nodes (one user host
 and any number of server hosts), each host hanging off exactly one switch.
 Shortest paths are computed over the switch graph only, minimizing hop count
 with accumulated delay as the tie-break; hosts are collapsed onto their
-attached switch.
+attached switch. A Topology is immutable, so it computes its paths, features
+and fingerprint once, on first use, and every caller shares them.
 """
 
 from __future__ import annotations
@@ -238,10 +239,28 @@ class Topology:
         ]
         return {"nodes": nodes, "links": links, "user_switch": self.user_switch}
 
-    def fingerprint(self) -> str:
-        """Stable content hash of the serialized document."""
+    @cached_property
+    def paths(self) -> PathMatrix:
+        """Shortest paths over the switch graph (see all_pairs_shortest_paths).
+        Every caller shares this one result, so its arrays are read-only."""
+        paths = all_pairs_shortest_paths(self)
+        for array in (paths.hops, paths.delay_ms, paths.next_hop):
+            array.flags.writeable = False
+        return paths
+
+    @cached_property
+    def features(self) -> FeatureSet:
+        """Per-server (hops, delay) clustering features (see server_features)."""
+        return server_features(self, self.paths)
+
+    @cached_property
+    def _fingerprint(self) -> str:
         payload = json.dumps(self.document(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+    def fingerprint(self) -> str:
+        """Stable content hash of the serialized document."""
+        return self._fingerprint
 
 
 # -- document ingestion ---------------------------------------------------

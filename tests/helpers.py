@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import sys
 from collections import deque
 
 import numpy as np
 
-from sdnlb.simulator import Flow
-from sdnlb.topology import Link, Node, NodeKind, Topology, all_pairs_shortest_paths
+from sdnlb.clustering import ClusteringError, effective_k
+from sdnlb.simulator import DEFAULT_RTT_WINDOW_BYTES, Flow, window_rate_cap_mbps
+from sdnlb.topology import (
+    FeatureSet,
+    Link,
+    Node,
+    NodeKind,
+    Topology,
+    all_pairs_shortest_paths,
+    natural_key,
+)
 
 
 def random_connected_topology(
@@ -86,3 +98,84 @@ def random_flow_instance(seed: int) -> tuple[Topology, list[Flow], float]:
         )
     window = rnd.choice([8192.0, 65536.0, 262144.0])
     return topology, flows, window
+
+
+def brute_force_kmeans(features: FeatureSet, k: int) -> float:
+    """Exact minimum SSE over all surjective assignments (test oracle).
+
+    Enumerates every assignment of points to k non-empty clusters; only
+    usable for small instances (<= 10 points).
+    """
+    points = features.array
+    n = len(points)
+    if n > 10:
+        raise ClusteringError("brute force oracle limited to 10 points")
+    k = effective_k(k, n)
+    best = math.inf
+    for assign in itertools.product(range(k), repeat=n):
+        if len(set(assign)) != k:
+            continue
+        labels = np.asarray(assign)
+        sse = 0.0
+        for c in range(k):
+            members = points[labels == c]
+            sse += float(((members - members.mean(axis=0)) ** 2).sum())
+        best = min(best, sse)
+    return best
+
+
+def is_max_min_fair(
+    flows: list[Flow],
+    rates: np.ndarray,
+    topology: Topology,
+    rtt_window_bytes: float = DEFAULT_RTT_WINDOW_BYTES,
+    tol: float = 1e-9,
+) -> bool:
+    """Definition-level fairness check (independent of the solver): every
+    flow is either at its window/RTT cap or has a saturated bottleneck link
+    on which it holds the maximum rate."""
+    capacity: dict[tuple[str, str], float] = {l.key: l.capacity_mbps for l in topology.links}
+    loads: dict[tuple[str, str], float] = {}
+    links_of = []
+    for flow, rate in zip(flows, rates):
+        keys = [tuple(sorted((a, b), key=natural_key)) for a, b in zip(flow.path, flow.path[1:])]
+        links_of.append(keys)
+        for key in keys:
+            loads[key] = loads.get(key, 0.0) + float(rate)
+
+    for key, load in loads.items():
+        if load > capacity[key] + tol:
+            return False
+
+    max_on_link = {key: 0.0 for key in loads}
+    for keys, rate in zip(links_of, rates):
+        for key in keys:
+            max_on_link[key] = max(max_on_link[key], float(rate))
+
+    for flow, keys, rate in zip(flows, links_of, rates):
+        cap = window_rate_cap_mbps(rtt_window_bytes, flow.rtt_ms)
+        if rate > cap + tol:
+            return False
+        at_cap = math.isfinite(cap) and abs(rate - cap) <= tol
+        bottlenecked = any(
+            loads[key] >= capacity[key] - tol and rate >= max_on_link[key] - tol for key in keys
+        )
+        if not (at_cap or bottlenecked):
+            return False
+    return True
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls to module.<name> wherever an sdnlb module holds it; the
+    returned list grows by one per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "sdnlb" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

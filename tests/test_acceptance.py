@@ -24,7 +24,6 @@ from sdnlb.allocator import (
 )
 from sdnlb.clustering import (
     ClusteringConfig,
-    brute_force_kmeans,
     kmeans_cluster,
     kmeanspp_seed,
     lloyd,
@@ -39,7 +38,6 @@ from sdnlb.simulator import (
     Scenario,
     SingleServerBurst,
     compare_reports,
-    is_max_min_fair,
     max_min_fair_rates,
     run_experiment,
 )
@@ -50,7 +48,13 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import bfs_hop_matrix, random_connected_topology, random_flow_instance
+from helpers import (
+    bfs_hop_matrix,
+    brute_force_kmeans,
+    is_max_min_fair,
+    random_connected_topology,
+    random_flow_instance,
+)
 
 
 def _ok(criterion: str) -> None:

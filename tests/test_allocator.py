@@ -11,7 +11,6 @@ from sdnlb.allocator import (
     PoolSet,
     SingleCluster,
     SingleServer,
-    assign_request,
     avg_load_largest_cluster,
     build_pools,
     dispatch_sequence,
@@ -79,9 +78,11 @@ class TestBuildPools:
 
 
 class TestAssignRequest:
+    """One request at a time through a cluster's pool: pools.pool(i).take()."""
+
     def test_rotation(self):
         pools = simple_pools(["a", "b", "c"])
-        taken = [assign_request(pools, 0) for _ in range(4)]
+        taken = [pools.pool(0).take() for _ in range(4)]
         assert taken == ["a", "b", "c", "a"]
 
     def test_thirty_calls_on_nine_members(self):
@@ -89,19 +90,19 @@ class TestAssignRequest:
         pools = simple_pools(members)
         counts = {m: 0 for m in members}
         for _ in range(30):
-            counts[assign_request(pools, 0)] += 1
+            counts[pools.pool(0).take()] += 1
         assert [counts[m] for m in members] == [4, 4, 4, 3, 3, 3, 3, 3, 3]
 
     def test_ten_calls_on_three_members(self):
         pools = simple_pools(["a", "b", "c"])
         counts = {"a": 0, "b": 0, "c": 0}
         for _ in range(10):
-            counts[assign_request(pools, 0)] += 1
+            counts[pools.pool(0).take()] += 1
         assert [counts[m] for m in "abc"] == [4, 3, 3]
 
     def test_unknown_cluster_rejected(self):
         with pytest.raises(AllocationError, match="7"):
-            assign_request(simple_pools(["a"]), 7)
+            simple_pools(["a"]).pool(7).take()
 
     @settings(max_examples=60)
     @given(st.integers(1, 9), st.integers(0, 200))
@@ -110,7 +111,7 @@ class TestAssignRequest:
         pools = simple_pools(members)
         counts = {x: 0 for x in members}
         for _ in range(m):
-            counts[assign_request(pools, 0)] += 1
+            counts[pools.pool(0).take()] += 1
         assert max(counts.values()) - min(counts.values()) <= 1
 
 

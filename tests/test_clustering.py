@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from sdnlb.clustering import (
     ClusteringConfig,
     ClusteringError,
-    brute_force_kmeans,
+    cluster,
     cluster_model_document,
     effective_k,
     kmeans_cluster,
     kmeanspp_seed,
     lloyd,
     normalized_laplacian,
-    similarity_matrix,
     spectral_cluster,
     spectral_embedding,
     sym_eigendecomposition,
@@ -28,7 +27,7 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import random_connected_topology
+from helpers import brute_force_kmeans, random_connected_topology
 
 
 @pytest.fixture(scope="module")
@@ -208,13 +207,6 @@ class TestKMeansCluster:
         config = ClusteringConfig(k=3, rng_seed=42)
         assert kmeans_cluster(features, config) == kmeans_cluster(features, config)
 
-    def test_normalized_features_report_original_centroids(self, paper_features):
-        _, features = paper_features
-        model = kmeans_cluster(features, ClusteringConfig(k=3, rng_seed=1, normalize_features=True))
-        ordered = [model.centroids[c] for c in model.priority_order]
-        assert [c[0] for c in ordered] == [1.0, 2.0, 3.0]
-        assert model.sse == pytest.approx(0.0, abs=1e-12)
-
     def test_every_cluster_non_empty_on_random_instances(self):
         rnd = random.Random(7)
         for _ in range(25):
@@ -245,33 +237,34 @@ class TestBruteForce:
 
 
 class TestSimilarityMatrix:
+    """Spectral clustering's similarity matrix is Topology.switch_adjacency()."""
+
     def test_two_linked_switches(self):
         topo = random_connected_topology(0, max_switches=2)
-        sim = similarity_matrix(topo)
-        assert sim.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert topo.switch_adjacency().tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_paper_topology_adjacency(self):
         topo = build_paper_topology()
-        sim = similarity_matrix(topo)
-        idx = {s: i for i, s in enumerate(sim.switch_ids)}
-        assert sim.entries[idx["s1"], idx["s2"]] == 1.0
-        assert sim.entries[idx["s1"], idx["s3"]] == 1.0
-        assert sim.entries[idx["s1"], idx["s4"]] == 0.0  # level 3 not adjacent to level 1
-        assert sim.entries[idx["s2"], idx["s3"]] == 0.0  # no intra-level links
+        sim = topo.switch_adjacency()
+        idx = {s: i for i, s in enumerate(topo.switch_ids)}
+        assert sim[idx["s1"], idx["s2"]] == 1.0
+        assert sim[idx["s1"], idx["s3"]] == 1.0
+        assert sim[idx["s1"], idx["s4"]] == 0.0  # level 3 not adjacent to level 1
+        assert sim[idx["s2"], idx["s3"]] == 0.0  # no intra-level links
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_link_enumeration_and_symmetry(self, seed):
         topo = random_connected_topology(seed)
-        sim = similarity_matrix(topo)
-        assert np.array_equal(sim.entries, sim.entries.T)
-        assert np.all(np.diag(sim.entries) == 0.0)
-        idx = {s: i for i, s in enumerate(sim.switch_ids)}
-        expected = np.zeros_like(sim.entries)
+        sim = topo.switch_adjacency()
+        assert np.array_equal(sim, sim.T)
+        assert np.all(np.diag(sim) == 0.0)
+        idx = {s: i for i, s in enumerate(topo.switch_ids)}
+        expected = np.zeros_like(sim)
         for link in topo.links:
             if link.a in idx and link.b in idx:
                 expected[idx[link.a], idx[link.b]] = 1.0
                 expected[idx[link.b], idx[link.a]] = 1.0
-        assert np.array_equal(sim.entries, expected)
+        assert np.array_equal(sim, expected)
 
 
 def char_poly_roots_3x3(matrix: np.ndarray) -> np.ndarray:
@@ -403,6 +396,18 @@ class TestSpectral:
             k = min(2, len({topo.attached_switch(s) for s in topo.server_ids}))
             model = spectral_cluster(topo, ClusteringConfig(k=k, rng_seed=seed))
             assert set(model.assignment) == set(range(model.n_clusters))
+
+
+class TestClusterEntryPoint:
+    def test_dispatches_by_method_name(self):
+        topo = build_paper_topology()
+        config = ClusteringConfig(k=3, rng_seed=0)
+        assert cluster(topo, config) == kmeans_cluster(topo.features, config)
+        assert cluster(topo, config, "spectral") == spectral_cluster(topo, config)
+
+    def test_unknown_method_is_named(self):
+        with pytest.raises(ClusteringError, match="'ward'"):
+            cluster(build_paper_topology(), ClusteringConfig(k=3), "ward")
 
 
 def test_cluster_model_document_shape(paper_features):

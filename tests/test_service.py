@@ -1,10 +1,18 @@
+import http.client
+import os
+import select
+import subprocess
+import sys
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdnlb
 from sdnlb.service import LoadBalancerService, ServiceError, make_server
 from sdnlb.topology import build_paper_topology
 
@@ -39,7 +47,7 @@ class TestPutTopology:
             service.put_topology({"nodes": [], "links": []})
         assert err.value.status == 422
         assert service.topology is not None
-        assert service.model is not None
+        assert service.pools is not None
 
     def test_reupload_is_idempotent_and_resets(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -47,7 +55,7 @@ class TestPutTopology:
         service.post_requests("auto", 9)
         out = service.put_topology(TOPOLOGY_DOC)
         assert out["servers"] == 9
-        assert service.model is None
+        assert service.pools is None
         assert sum(service.counters.values()) == 0
 
 
@@ -101,6 +109,18 @@ class TestGetClusters:
         service.get_clusters(k=3)  # cache hit; cursor must survive
         second = service.post_requests(0, 2)["assignments"]
         assert first + second == ["h2", "h3", "h4", "h2"]
+
+    def test_cache_hit_does_no_hashing(self, service, monkeypatch):
+        import sdnlb.topology
+
+        service.put_topology(TOPOLOGY_DOC)
+        first = service.get_clusters(k=3)
+
+        def no_hashing(payload):
+            raise AssertionError("GET /clusters cache hit hashed the topology")
+
+        monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=no_hashing))
+        assert service.get_clusters(k=3) is first
 
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -203,10 +223,8 @@ def test_staged_pipeline_invariant_under_interleavings(ops):
                 service.get_stats()
         except ServiceError:
             pass
-        # staged pipeline: pools => model => topology
+        # staged pipeline: pools => topology
         if service.pools is not None:
-            assert service.model is not None
-        if service.model is not None:
             assert service.topology is not None
         if service.topology is not None:
             assert sum(service.counters.values()) == dispatched
@@ -264,3 +282,43 @@ class TestHttpEndpoints:
         requests.put(f"{base}/topology", json=TOPOLOGY_DOC)
         out = requests.get(f"{base}/clusters", params={"k": "three"})
         assert out.status_code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, live_server, length):
+        base, _ = live_server
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=2)
+        try:
+            conn.putrequest("PUT", "/topology")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.read() == (
+                b'{"error": "invalid content-length", "detail": '
+                b'"Content-Length must be a non-negative integer, got \'' + length.encode() + b'\'"}'
+            )
+        finally:
+            conn.close()
+
+
+def test_serve_prints_listening_line_through_a_pipe():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(sdnlb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdnlb", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no listening line within 10 s"
+        line = proc.stdout.readline().decode()
+        assert line.startswith("sdnlb service listening on http://127.0.0.1:")
+        assert int(line.rsplit(":", 1)[1]) > 0
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()

@@ -12,7 +12,6 @@ from sdnlb.simulator import (
     SimulationError,
     SingleServerBurst,
     compare_reports,
-    is_max_min_fair,
     max_min_fair_rates,
     report_csv,
     run_experiment,
@@ -25,7 +24,7 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import random_flow_instance
+from helpers import count_calls, is_max_min_fair, random_flow_instance
 
 BIG_WINDOW = 1e12  # cap never binds
 
@@ -139,11 +138,45 @@ class TestRunExperiment:
         with pytest.raises(SimulationError, match="zz"):
             run_experiment(Scenario(topo, pools, SingleServerBurst("zz", 1)))
 
+    def test_big_cluster_without_servers_is_named(self, paper):
+        from sdnlb.allocator import PoolSet
+
+        topo, _ = paper
+        with pytest.raises(ValueError, match="server"):
+            run_experiment(Scenario(topo, PoolSet([]), BigClusterRR(3)))
+
     def test_scenario_pools_not_mutated(self, paper):
         topo, pools = paper
         cursors = [p.cursor for p in pools.pools]
         run_experiment(Scenario(topo, pools, ClusteredRR(7)))
         assert [p.cursor for p in pools.pools] == cursors
+
+    def test_experiments_share_one_path_matrix_and_fingerprint(self, monkeypatch):
+        # three states on one Topology: Floyd-Warshall and the document hash
+        # run once, on first use, and every later experiment reuses them
+        import hashlib
+        from types import SimpleNamespace
+
+        import sdnlb.topology
+
+        topo = build_paper_topology()
+        features = server_features(topo, all_pairs_shortest_paths(topo))
+        pools = build_pools(kmeans_cluster(features, ClusteringConfig(k=3)), features)
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        hashes = []
+
+        def sha256(payload):
+            hashes.append(payload)
+            return hashlib.sha256(payload)
+
+        monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=sha256))
+        reports = [
+            run_experiment(Scenario(topo, pools, state))
+            for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10))
+        ]
+        compare_reports(reports)
+        assert len(paths_calls) == 1
+        assert len(hashes) == 1
 
     def test_identical_scenarios_give_identical_reports(self, paper):
         topo, pools = paper

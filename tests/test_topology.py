@@ -252,3 +252,14 @@ def test_topology_requires_one_user_host():
     links = (Link("v1", "s1", 0.0, 100.0),)
     with pytest.raises(TopologyError, match="user_host"):
         Topology(nodes=nodes, links=links, user_switch="s1")
+
+
+def test_paths_features_and_fingerprint_are_computed_once():
+    topo = build_paper_topology()
+    assert topo.paths is topo.paths
+    assert topo.features is topo.features
+    assert topo.features == server_features(topo, all_pairs_shortest_paths(topo))
+    assert np.array_equal(topo.paths.hops, all_pairs_shortest_paths(topo).hops)
+    with pytest.raises(ValueError, match="read-only"):
+        topo.paths.hops[0, 0] = 5
+    assert topo.fingerprint() == build_paper_topology().fingerprint()
