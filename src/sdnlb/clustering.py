@@ -141,7 +141,8 @@ def _lloyd(
             new_assignment = _reseed_empty(dist2, new_assignment, k)
         centroids = np.stack([points[new_assignment == c].mean(axis=0) for c in range(k)])
         sse = float(((points - centroids[new_assignment]) ** 2).sum())
-        assert not trace or sse <= trace[-1] + 1e-9, "Lloyd SSE increased"
+        if trace and sse > trace[-1] + 1e-9:
+            raise ClusteringError(f"Lloyd SSE increased from {trace[-1]} to {sse}")
         trace.append(sse)
         stable = bool(np.array_equal(new_assignment, assignment))
         assignment = new_assignment

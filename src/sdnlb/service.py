@@ -82,7 +82,10 @@ class LoadBalancerService:
             if key == self._model_key:
                 return self._cluster_cache[key][0]
 
-            features = self.topology.features
+            try:
+                features = self.topology.features  # none without a server host
+            except TopologyError as exc:
+                raise ServiceError(422, "clustering failed", str(exc)) from exc
             if key not in self._cluster_cache:
                 try:
                     model = clustering.cluster(self.topology, ClusteringConfig(k=k, rng_seed=seed), method)

@@ -3,14 +3,17 @@
 Requests become concurrent flows held open for the whole window; per-flow
 rates come from progressive-filling max-min fairness over the switch links,
 with each flow additionally capped at window_bytes * 8 / rtt (so nearer
-clusters can push more per flow). Bytes are rate * duration. This is a
-declared model of TCP behaviour, not an emulation of it.
+clusters can push more per flow). The flows sent to one server share a path
+and a cap, so the filling runs over those per-server flow classes, weighted
+by how many flows each holds, and its cost does not grow with the request
+count. Bytes are rate * duration. This is a declared model of TCP behaviour,
+not an emulation of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +79,6 @@ class Flow:
     dst: str
     path: tuple[str, ...]
     rtt_ms: float
-    rate_mbps: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -109,70 +111,93 @@ def max_min_fair_rates(
 ) -> np.ndarray:
     """Progressive-filling max-min fair rates (Mbps) for concurrent flows.
 
-    All unfrozen flows rise together; at each step either a link saturates
-    (freezing its flows at the equal share) or a flow hits its window/RTT
-    cap. Links are visited in natural id order, so ties resolve
-    deterministically.
+    Flows with the same path and RTT form one class of multiplicity m: the
+    max-min fair allocation is unique, so they get equal rates and the
+    filling runs over classes, not flows. All unfrozen classes rise together;
+    at each step either a link saturates (its level is the spare capacity
+    over the multiplicity of its live classes, and those classes freeze at
+    that level) or a class hits its window/RTT cap. A frozen class adds
+    m * rate to the load of each of its links. Links are visited in id order,
+    so ties resolve deterministically. The cost grows with the classes and
+    their path lengths, not with the number of flows (Bertsekas & Gallager,
+    Data Networks, section 6.5.2).
     """
-    n = len(flows)
-    if n == 0:
+    if not flows:
         return np.zeros(0)
 
     capacity: dict[tuple[str, str], float] = {l.key: l.capacity_mbps for l in topology.links}
-    flow_links: list[list[tuple[str, str]]] = []
+    first: dict[tuple[tuple[str, ...], float], Flow] = {}
     for flow in flows:
-        keys = []
-        for a, b in zip(flow.path, flow.path[1:]):
-            key = tuple(sorted((a, b), key=natural_key))
-            if key not in capacity:
-                raise SimulationError(f"flow {flow.src}->{flow.dst}: no link {key[0]}-{key[1]}")
-            keys.append(key)
-        flow_links.append(keys)
+        first.setdefault((flow.path, flow.rtt_ms), flow)
+    # classes in (path, rtt) order, so the rates do not depend on the order
+    # of the flows
+    signatures = sorted(first)
+    index = {signature: c for c, signature in enumerate(signatures)}
+    flow_class = [index[flow.path, flow.rtt_ms] for flow in flows]
+    class_links = [_link_keys(first[signature], capacity) for signature in signatures]
+    caps = [window_rate_cap_mbps(rtt_window_bytes, rtt) for _, rtt in signatures]
+    mult = np.bincount(flow_class, minlength=len(caps)).tolist()
 
-    caps = np.array([window_rate_cap_mbps(rtt_window_bytes, f.rtt_ms) for f in flows])
-    link_order = sorted({key for keys in flow_links for key in keys})
-    members = {key: [i for i in range(n) if key in flow_links[i]] for key in link_order}
+    links = sorted({key for keys in class_links for key in keys})
+    members: dict[tuple[str, str], list[int]] = {key: [] for key in links}
+    for c, keys in enumerate(class_links):
+        for key in keys:
+            members[key].append(c)
+    live_weight = {key: sum(mult[c] for c in members[key]) for key in links}
+    frozen_load = dict.fromkeys(links, 0.0)
 
-    rates = np.zeros(n)
-    active = np.ones(n, dtype=bool)
-    frozen_load = {key: 0.0 for key in link_order}
+    rates = [0.0] * len(caps)
+    active = [True] * len(caps)
 
-    while active.any():
-        link_levels = {}
-        for key in link_order:
-            live = [i for i in members[key] if active[i]]
-            if live:
-                link_levels[key] = (capacity[key] - frozen_load[key]) / len(live)
-        cap_level = float(caps[active].min())
+    def freeze(c: int, rate: float) -> None:
+        rates[c] = rate
+        active[c] = False
+        for key in class_links[c]:
+            frozen_load[key] += mult[c] * rate
+            live_weight[key] -= mult[c]
+
+    while any(active):
+        link_levels = {
+            key: (capacity[key] - frozen_load[key]) / live_weight[key]
+            for key in links
+            if live_weight[key]
+        }
+        cap_level = min(cap for cap, live in zip(caps, active) if live)
         if not link_levels and math.isinf(cap_level):
             raise SimulationError("flow without any capacity constraint (empty path, zero rtt)")
         level = min(min(link_levels.values(), default=math.inf), cap_level)
 
-        frozen_now = []
-        for i in np.flatnonzero(active):
-            if caps[i] <= level + _LEVEL_TOL:
-                rates[i] = caps[i]
-                frozen_now.append(int(i))
-        for key in link_order:
-            if key in link_levels and link_levels[key] <= level + _LEVEL_TOL:
-                for i in members[key]:
-                    if active[i] and i not in frozen_now:
-                        rates[i] = level
-                        frozen_now.append(i)
-        for i in frozen_now:
-            active[i] = False
-            for key in flow_links[i]:
-                frozen_load[key] += rates[i]
+        for c, cap in enumerate(caps):
+            if active[c] and cap <= level + _LEVEL_TOL:
+                freeze(c, cap)
+        for key, link_level in link_levels.items():
+            if link_level <= level + _LEVEL_TOL:
+                for c in members[key]:
+                    if active[c]:
+                        freeze(c, level)
 
-    _check_conservation(rates, flow_links, capacity)
-    return rates
+    _check_conservation([m * r for m, r in zip(mult, rates)], class_links, capacity)
+    return np.array(rates)[flow_class]
 
 
-def _check_conservation(rates, flow_links, capacity) -> None:
+def _link_keys(flow: Flow, capacity: dict[tuple[str, str], float]) -> list[tuple[str, str]]:
+    """The link key of each hop of the flow's path, found in either
+    orientation (a key holds its endpoints in natural order)."""
+    keys = []
+    for a, b in zip(flow.path, flow.path[1:]):
+        key = (a, b) if (a, b) in capacity else (b, a)
+        if key not in capacity:
+            a, b = sorted((a, b), key=natural_key)
+            raise SimulationError(f"flow {flow.src}->{flow.dst}: no link {a}-{b}")
+        keys.append(key)
+    return keys
+
+
+def _check_conservation(class_loads, class_links, capacity) -> None:
     loads: dict[tuple[str, str], float] = {}
-    for rate, keys in zip(rates, flow_links):
+    for load, keys in zip(class_loads, class_links):
         for key in keys:
-            loads[key] = loads.get(key, 0.0) + rate
+            loads[key] = loads.get(key, 0.0) + load
     for key, load in loads.items():
         if load > capacity[key] + 1e-9:
             raise SimulationError(f"link {key[0]}-{key[1]} oversubscribed: {load} Mbps")
@@ -220,7 +245,7 @@ def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -
         switch = topology.attached_switch(server)
         path = paths.path(user_switch, switch)
         rtt = 2.0 * paths.delay_between(user_switch, switch)
-        flows.extend(Flow(src=user, dst=server, path=path, rtt_ms=rtt) for _ in range(counts[server]))
+        flows.extend([Flow(src=user, dst=server, path=path, rtt_ms=rtt)] * counts[server])
     return flows
 
 
@@ -231,12 +256,11 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     counts = _request_counts(scenario)
     flows = build_flows(topology, counts, topology.paths)
     rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
-    flows = [replace(f, rate_mbps=float(r)) for f, r in zip(flows, rates)]
 
     servers = sorted(counts, key=natural_key)
     bandwidth = {s: 0.0 for s in servers}
-    for flow in flows:
-        bandwidth[flow.dst] += flow.rate_mbps
+    for flow, rate in zip(flows, rates.tolist()):
+        bandwidth[flow.dst] += rate
     bytes_mb = {s: bandwidth[s] * scenario.duration_s / 8.0 for s in servers}
 
     server_cluster = {

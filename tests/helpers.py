@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 
 from sdnlb.clustering import ClusteringError, effective_k
-from sdnlb.simulator import DEFAULT_RTT_WINDOW_BYTES, Flow, window_rate_cap_mbps
+from sdnlb.simulator import DEFAULT_RTT_WINDOW_BYTES, Flow, SimulationError, window_rate_cap_mbps
 from sdnlb.topology import (
     FeatureSet,
     Link,
@@ -84,14 +84,16 @@ def bfs_hop_matrix(topology: Topology) -> np.ndarray:
     return matrix
 
 
-def random_flow_instance(seed: int) -> tuple[Topology, list[Flow], float]:
-    """Small random topology plus up to 8 flows along shortest paths."""
+def random_flow_instance(
+    seed: int, max_switches: int = 5, max_flows: int = 8
+) -> tuple[Topology, list[Flow], float]:
+    """Small random topology plus up to max_flows flows along shortest paths."""
     rnd = random.Random(seed)
-    topology = random_connected_topology(seed * 7 + 1, max_switches=5, max_servers=2)
+    topology = random_connected_topology(seed * 7 + 1, max_switches=max_switches, max_servers=2)
     paths = all_pairs_shortest_paths(topology)
     ids = topology.switch_ids
     flows = []
-    for _ in range(rnd.randint(1, 8)):
+    for _ in range(rnd.randint(1, max_flows)):
         a, b = rnd.sample(ids, 2)
         flows.append(
             Flow(src="u1", dst=b, path=paths.path(a, b), rtt_ms=2.0 * paths.delay_between(a, b))
@@ -163,6 +165,47 @@ def is_max_min_fair(
         if not (at_cap or bottlenecked):
             return False
     return True
+
+
+def per_flow_max_min_rates(
+    flows: list[Flow],
+    topology: Topology,
+    rtt_window_bytes: float = DEFAULT_RTT_WINDOW_BYTES,
+) -> np.ndarray:
+    """Reference progressive filling over single flows, one at a time (the
+    loop the class solver replaced): every unfrozen flow rises together until
+    a link saturates or a flow hits its window/RTT cap."""
+    capacity = {l.key: l.capacity_mbps for l in topology.links}
+    flow_links = [
+        [tuple(sorted((a, b), key=natural_key)) for a, b in zip(f.path, f.path[1:])] for f in flows
+    ]
+    caps = [window_rate_cap_mbps(rtt_window_bytes, f.rtt_ms) for f in flows]
+    rates = np.zeros(len(flows))
+    active = set(range(len(flows)))
+    frozen_load = {key: 0.0 for keys in flow_links for key in keys}
+    while active:
+        levels = {}
+        for key in frozen_load:
+            live = [i for i in active if key in flow_links[i]]
+            if live:
+                levels[key] = (capacity[key] - frozen_load[key]) / len(live)
+        level = min(min(levels.values(), default=math.inf), min(caps[i] for i in active))
+        if math.isinf(level):
+            raise SimulationError("flow without any capacity constraint")
+        frozen = {i for i in active if caps[i] <= level + 1e-12}
+        for i in frozen:
+            rates[i] = caps[i]
+        for key, link_level in levels.items():
+            if link_level <= level + 1e-12:
+                for i in active - frozen:
+                    if key in flow_links[i]:
+                        rates[i] = level
+                        frozen.add(i)
+        for i in frozen:
+            for key in flow_links[i]:
+                frozen_load[key] += rates[i]
+        active -= frozen
+    return rates
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -165,6 +165,25 @@ class TestLloyd:
             trace = model.sse_trace
             assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
+    def test_sse_increase_is_a_named_error(self, monkeypatch):
+        # duplicate points leave cluster 1 empty on every round; the second
+        # reseed is replaced by a worse assignment, so SSE rises from 0 to 50
+        import sdnlb.clustering
+
+        reseed = sdnlb.clustering._reseed_empty
+        calls = []
+
+        def worse_on_second_call(dist2, assignment, k):
+            calls.append(k)
+            return reseed(dist2, assignment, k) if len(calls) == 1 else np.array([2, 0, 1, 0])
+
+        monkeypatch.setattr(sdnlb.clustering, "_reseed_empty", worse_on_second_call)
+        features = feature_set([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (10.0, 0.0)])
+        initial = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]])
+        with pytest.raises(ClusteringError, match="SSE increased from 0.0 to 50.0"):
+            lloyd(features, initial, ClusteringConfig(k=3))
+        assert len(calls) == 2
+
     def test_best_of_50_seeds_reaches_brute_force_optimum(self):
         rnd = random.Random(99)
         for _ in range(10):

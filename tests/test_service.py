@@ -283,6 +283,21 @@ class TestHttpEndpoints:
         out = requests.get(f"{base}/clusters", params={"k": "three"})
         assert out.status_code == 400
 
+    def test_clusters_on_topology_without_servers_is_422(self, live_server):
+        base, _ = live_server
+        document = {
+            "nodes": [{"id": "s1", "kind": "switch"}, {"id": "u1", "kind": "user_host"}],
+            "links": [{"a": "u1", "b": "s1", "delay_ms": 0.0, "capacity_mbps": 100.0}],
+            "user_switch": "s1",
+        }
+        assert requests.put(f"{base}/topology", json=document).status_code == 200
+        out = requests.get(f"{base}/clusters", params={"k": 1})
+        assert out.status_code == 422
+        assert out.json() == {
+            "error": "clustering failed",
+            "detail": "feature set must contain at least one server",
+        }
+
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, live_server, length):
         base, _ = live_server

@@ -1,6 +1,10 @@
 import math
+import random
 
 import pytest
+
+import sdnlb.simulator
+import sdnlb.topology
 
 from sdnlb.allocator import build_pools
 from sdnlb.clustering import ClusteringConfig, kmeans_cluster
@@ -24,7 +28,7 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import count_calls, is_max_min_fair, random_flow_instance
+from helpers import count_calls, is_max_min_fair, per_flow_max_min_rates, random_flow_instance
 
 BIG_WINDOW = 1e12  # cap never binds
 
@@ -111,6 +115,65 @@ class TestMaxMinFairRates:
         capacity = {tuple(sorted(l.key)): l.capacity_mbps for l in topo.links}
         for key, load in loads.items():
             assert load <= capacity[key] + 1e-9
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fairness_property_with_repeated_flows(self, seed):
+        topo, flows, window = random_flow_instance(seed + 1300)
+        _, repeated = repeat_and_shuffle(flows, random.Random(seed))
+        rates = max_min_fair_rates(repeated, topo, rtt_window_bytes=window)
+        assert is_max_min_fair(repeated, rates, topo, rtt_window_bytes=window)
+        # a class adds m * rate where single flows add rate m times: the
+        # rates may differ in the last bits only
+        reference = per_flow_max_min_rates(repeated, topo, rtt_window_bytes=window)
+        assert rates == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "seed, max_switches, max_flows",
+        [(seed, 5, 8) for seed in range(1700, 1740)]
+        # larger instances on which a solve that sums link loads in flow
+        # order gives rates that differ in the last bit after a permutation
+        + [(seed, 8, 16) for seed in (586, 1079, 1110, 1904, 1977)],
+    )
+    def test_copies_get_equal_rates_and_permutation_permutes_rates(self, seed, max_switches, max_flows):
+        topo, flows, window = random_flow_instance(seed, max_switches, max_flows)
+        rnd = random.Random(seed)
+        origin, repeated = repeat_and_shuffle(flows, rnd)
+        rates = max_min_fair_rates(repeated, topo, rtt_window_bytes=window).tolist()
+        rate_of = {}
+        for i, rate in zip(origin, rates):
+            assert rate_of.setdefault(i, rate) == rate  # bit-equal, not approximately
+        order = list(range(len(repeated)))
+        rnd.shuffle(order)
+        permuted = max_min_fair_rates([repeated[j] for j in order], topo, rtt_window_bytes=window)
+        assert permuted.tolist() == [rates[j] for j in order]
+
+    def test_solve_cost_does_not_grow_with_request_count(self, paper, monkeypatch):
+        # the flows to one server form one class: ten times the requests
+        # must not mean ten times the link-key work inside the solve
+        topo, pools = paper
+        calls = count_calls(monkeypatch, sdnlb.topology, "natural_key")
+        solve = sdnlb.simulator.max_min_fair_rates
+        inside = []
+
+        def counted_solve(*args, **kwargs):
+            before = len(calls)
+            rates = solve(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return rates
+
+        monkeypatch.setattr(sdnlb.simulator, "max_min_fair_rates", counted_solve)
+        for requests in (1000, 10000):
+            run_experiment(Scenario(topo, pools, BigClusterRR(requests)))
+        assert len(inside) == 2
+        assert inside[0] == inside[1]
+
+
+def repeat_and_shuffle(flows, rnd):
+    """Each flow repeated 1-5 times, then shuffled; returns (index of the
+    original flow per copy, the copies)."""
+    copies = [(i, flow) for i, flow in enumerate(flows) for _ in range(rnd.randint(1, 5))]
+    rnd.shuffle(copies)
+    return [i for i, _ in copies], [flow for _, flow in copies]
 
 
 class TestRunExperiment:
