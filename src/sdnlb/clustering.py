@@ -20,6 +20,7 @@ METHODS = ("kmeans", "spectral")
 MAX_ITERATIONS = 100
 TOLERANCE = 1e-9
 RESTARTS = 10
+EIGENGAP_TOL = 1e-9
 
 
 class ClusteringError(ValueError):
@@ -213,12 +214,9 @@ def kmeans_cluster(features: FeatureSet, config: ClusteringConfig) -> ClusterMod
 # -- spectral clustering ----------------------------------------------------
 
 
-def sym_eigendecomposition(
-    matrix: np.ndarray, off_tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix (numpy.linalg.eigh).
 
-    Sweeps until the off-diagonal Frobenius norm drops below off_tol.
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
     """
     A = np.asarray(matrix, dtype=float)
@@ -226,43 +224,7 @@ def sym_eigendecomposition(
         raise ClusteringError("matrix must be square")
     if A.size and float(np.abs(A - A.T).max()) > 1e-9:
         raise ClusteringError("matrix must be symmetric within 1e-9")
-    A = (A + A.T) / 2.0
-    n = A.shape[0]
-    V = np.eye(n)
-
-    for _ in range(max_sweeps):
-        off_diag = A - np.diag(np.diag(A))
-        if math.sqrt(float((off_diag**2).sum())) < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                if theta * theta >= 1e300:  # near-identity rotation; avoid overflow
-                    t = 0.0 if math.isinf(theta) else 0.5 / theta
-                else:
-                    t = sign / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vec_p, vec_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    else:
-        raise ArithmeticError("Jacobi sweeps did not converge")
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], V[:, order]
+    return np.linalg.eigh((A + A.T) / 2.0)
 
 
 def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -279,9 +241,20 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
 
 def spectral_embedding(adjacency: np.ndarray, k: int) -> np.ndarray:
     """Rows of the k smallest Laplacian eigenvectors, normalized to unit
-    length (zero rows are left as zeros)."""
+    length (zero rows are left as zeros).
+
+    If lambda_k and lambda_k+1 tie (within EIGENGAP_TOL), any basis of the
+    tied eigenspace is as valid as any other, so the embedding keeps only
+    the eigenvectors strictly below the tied group and the result does not
+    depend on the basis the solver picked.
+    """
     L = normalized_laplacian(adjacency)
-    _, vectors = sym_eigendecomposition(L)
+    values, vectors = sym_eigendecomposition(L)
+    if k < len(values) and values[k] - values[k - 1] <= EIGENGAP_TOL:
+        tied_from = k - 1
+        while tied_from > 0 and values[tied_from] - values[tied_from - 1] <= EIGENGAP_TOL:
+            tied_from -= 1
+        k = tied_from
     embedding = vectors[:, :k].copy()
     norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -25,6 +25,10 @@ from . import allocator, clustering
 from .allocator import EqualPerCluster, SingleCluster, dispatch_sequence
 from .clustering import METHODS, ClusteringConfig, ClusteringError
 from .topology import TopologyError, load_topology, natural_key
+
+MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
+MAX_COUNT = 100_000  # requests per POST /requests; each is listed in the reply
+CLUSTER_CACHE_SIZE = 16  # cluster models kept per topology, least recently used out
 
 
 class ServiceError(Exception):
@@ -49,9 +53,11 @@ class LoadBalancerService:
         self.topology = None
         self.pools = None
         self.counters: dict[str, int] = {}
-        # (k, method, seed) -> (document, model); PUT /topology clears it
+        # (k, method, seed) -> (document, model), least recently used first;
+        # the current _model_key is always the most recent, so never evicted.
+        # PUT /topology clears it
         self._model_key = None
-        self._cluster_cache: dict[tuple, tuple] = {}
+        self._cluster_cache: OrderedDict[tuple, tuple] = OrderedDict()
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -95,6 +101,9 @@ class LoadBalancerService:
                 document = {"requested_k": k, "method": method, "seed": seed, **document}
                 self._cluster_cache[key] = (document, model)
 
+            self._cluster_cache.move_to_end(key)
+            while len(self._cluster_cache) > CLUSTER_CACHE_SIZE:
+                self._cluster_cache.popitem(last=False)
             document, model = self._cluster_cache[key]
             self.pools = allocator.build_pools(model, features)
             self._model_key = key
@@ -113,8 +122,10 @@ class LoadBalancerService:
         with self._lock:
             if self.pools is None:
                 raise ServiceError(409, "no pools", "compute clusters with GET /clusters first")
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise ServiceError(400, "invalid count", f"count must be a non-negative integer, got {count!r}")
+            if not isinstance(count, int) or isinstance(count, bool) or not 0 <= count <= MAX_COUNT:
+                raise ServiceError(
+                    400, "invalid count", f"count must be an integer in [0, {MAX_COUNT}], got {count!r}"
+                )
             if target == "auto":
                 split = EqualPerCluster()
             elif isinstance(target, int) and not isinstance(target, bool):
@@ -187,6 +198,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(
                 400, "invalid content-length", f"Content-Length must be a non-negative integer, got {header!r}"
             )
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(413, "body too large", f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw) if raw else {}

@@ -15,11 +15,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 _INF_HOPS = 10**9
+NATURAL_KEY_CACHE_SIZE = 4096
 
 
 class TopologyError(ValueError):
@@ -32,8 +33,13 @@ class NodeKind(str, Enum):
     USER_HOST = "user_host"
 
 
+@lru_cache(maxsize=NATURAL_KEY_CACHE_SIZE)
 def natural_key(node_id: str) -> tuple:
-    """Sort key ordering embedded integers numerically (h2 before h10)."""
+    """Sort key ordering embedded integers numerically (h2 before h10).
+
+    Memoized with a bounded cache: links, topology sorting and the
+    simulator's server sorts all ask again for the same few ids.
+    """
     parts = re.split(r"(\d+)", node_id)
     return tuple((0, int(p)) if p.isdigit() else (1, p) for p in parts if p)
 

@@ -359,23 +359,68 @@ class TestSpectral:
         embedding = spectral_embedding(topo.switch_adjacency(), 3)
         assert np.linalg.norm(embedding, axis=1) == pytest.approx([1.0] * 7, abs=1e-8)
 
+    @staticmethod
+    def partition(topo, model):
+        by_cluster = {}
+        for sid, c in zip(topo.features.server_ids, model.assignment):
+            by_cluster.setdefault(c, set()).add(sid)
+        return set(map(frozenset, by_cluster.values()))
+
+    PAPER_LEVELS = {
+        frozenset({"h2", "h3", "h4"}),
+        frozenset({"h5", "h6", "h7"}),
+        frozenset({"h8", "h9", "h10"}),
+    }
+
     def test_paper_topology_golden_partition(self):
-        # pinned result of the deterministic run (seed 0, k = 3); the
-        # eigenvalue-1 eigenspace is degenerate, so this partition is an
-        # artifact of the fixed rotation order, recorded once and held.
+        # the Laplacian spectrum is [0, .592, 1, 1, 1, 1.408, 2]: the
+        # eigenvalue 1 crosses the k = 3 boundary, so the embedding keeps the
+        # two eigenvectors below it and the partition is the level partition
         topo = build_paper_topology()
         model = spectral_cluster(topo, ClusteringConfig(k=3, rng_seed=0))
-        assert model.assignment == (0, 1, 1, 1, 2, 2, 2, 2, 2)
-        by_cluster = {}
-        for sid, c in zip(
-            server_features(topo, all_pairs_shortest_paths(topo)).server_ids, model.assignment
-        ):
-            by_cluster.setdefault(c, set()).add(sid)
-        assert set(map(frozenset, by_cluster.values())) == {
-            frozenset({"h2"}),
-            frozenset({"h3", "h4", "h5"}),
-            frozenset({"h6", "h7", "h8", "h9", "h10"}),
-        }
+        assert model.assignment == (0, 0, 0, 1, 1, 1, 2, 2, 2)
+        assert self.partition(topo, model) == self.PAPER_LEVELS
+        assert model.centroids == ((1.0, 12.0), (2.0, 22.0), (3.0, 30.33))
+
+    def test_paper_partition_ignores_basis_of_tied_eigenspace(self, monkeypatch):
+        import sdnlb.clustering
+
+        topo = build_paper_topology()
+        solve = sdnlb.clustering.sym_eigendecomposition
+        rng = np.random.default_rng(2007)
+        rotated = []
+
+        def rotating_solve(matrix):
+            values, vectors = solve(matrix)
+            tied = np.flatnonzero(np.abs(values - 1.0) < 1e-9)
+            assert tied.tolist() == [2, 3, 4]
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            vectors = vectors.copy()
+            vectors[:, tied] = vectors[:, tied] @ q
+            assert np.abs(vectors @ np.diag(values) @ vectors.T - matrix).max() < 1e-9
+            rotated.append(vectors)
+            return values, vectors
+
+        monkeypatch.setattr(sdnlb.clustering, "sym_eigendecomposition", rotating_solve)
+        for _ in range(20):
+            model = spectral_cluster(topo, ClusteringConfig(k=3, rng_seed=0))
+            assert self.partition(topo, model) == self.PAPER_LEVELS
+        assert len(rotated) == 20
+        assert not np.allclose(rotated[0], rotated[1])
+
+    def test_paper_partition_ignores_seed(self):
+        topo = build_paper_topology()
+        for seed in range(10):
+            model = spectral_cluster(topo, ClusteringConfig(k=3, rng_seed=seed))
+            assert self.partition(topo, model) == self.PAPER_LEVELS
+
+    def test_embedding_stops_below_a_tie_across_k(self):
+        adjacency = build_paper_topology().switch_adjacency()
+        assert spectral_embedding(adjacency, 2).shape == (7, 2)  # 0.592 < 1
+        assert spectral_embedding(adjacency, 3).shape == (7, 2)  # 1 = 1 = 1
+        assert spectral_embedding(adjacency, 4).shape == (7, 2)
+        assert spectral_embedding(adjacency, 5).shape == (7, 5)  # 1 < 1.408
+        assert spectral_embedding(adjacency, 7).shape == (7, 7)
 
     def test_spectral_is_deterministic(self):
         topo = build_paper_topology()

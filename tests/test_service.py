@@ -16,6 +16,8 @@ import sdnlb
 from sdnlb.service import LoadBalancerService, ServiceError, make_server
 from sdnlb.topology import build_paper_topology
 
+from helpers import count_calls
+
 TOPOLOGY_DOC = build_paper_topology().document()
 
 
@@ -122,6 +124,27 @@ class TestGetClusters:
         monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=no_hashing))
         assert service.get_clusters(k=3) is first
 
+    def test_cluster_cache_is_a_bounded_lru_that_keeps_the_current_model(self, service, monkeypatch):
+        import sdnlb.clustering
+
+        service.put_topology(TOPOLOGY_DOC)
+        runs = count_calls(monkeypatch, sdnlb.clustering, "cluster")
+        size = sdnlb.service.CLUSTER_CACHE_SIZE
+        for seed in range(3 * size):
+            current = service.get_clusters(k=3, seed=seed)
+            assert len(service._cluster_cache) <= size
+            assert service._cluster_cache[(3, "kmeans", seed)][0] is current
+        assert len(runs) == 3 * size
+        assert service.get_clusters(k=3, seed=3 * size - 1) is current  # current model: a hit
+        assert len(runs) == 3 * size
+        # least recently used goes first: touching the oldest entry keeps it
+        oldest = 2 * size
+        service.get_clusters(k=3, seed=oldest)
+        service.get_clusters(k=3, seed=-1)
+        assert (3, "kmeans", oldest) in service._cluster_cache
+        assert (3, "kmeans", oldest + 1) not in service._cluster_cache
+        assert len(runs) == 3 * size + 1
+
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
         service.get_clusters(k=3)
@@ -168,6 +191,16 @@ class TestPostRequests:
         with pytest.raises(ServiceError) as err:
             service.post_requests("auto", -1)
         assert err.value.status == 400
+
+    def test_count_is_capped(self, service):
+        service.put_topology(TOPOLOGY_DOC)
+        service.get_clusters(k=3)
+        cap = sdnlb.service.MAX_COUNT
+        assert service.post_requests("auto", cap)["total"] == cap
+        with pytest.raises(ServiceError) as err:
+            service.post_requests("auto", cap + 1)
+        assert (err.value.status, err.value.error) == (400, "invalid count")
+        assert sum(service.counters.values()) == cap
 
 
 class TestStats:
@@ -315,6 +348,38 @@ class TestHttpEndpoints:
             )
         finally:
             conn.close()
+
+
+    def test_body_over_the_cap_is_413_unread(self, live_server):
+        base, _ = live_server
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=2)
+        length = sdnlb.service.MAX_BODY_BYTES + 1
+        try:
+            conn.putrequest("PUT", "/topology")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders()  # no body: the server must answer from the header
+            response = conn.getresponse()
+            assert response.status == 413
+            assert response.read() == (
+                b'{"error": "body too large", "detail": "Content-Length '
+                + str(length).encode() + b" exceeds " + str(length - 1).encode() + b' bytes"}'
+            )
+        finally:
+            conn.close()
+
+    def test_count_over_the_cap_is_400(self, live_server):
+        base, _ = live_server
+        requests.put(f"{base}/topology", json=TOPOLOGY_DOC)
+        requests.get(f"{base}/clusters", params={"k": 3})
+        cap = sdnlb.service.MAX_COUNT
+        out = requests.post(f"{base}/requests", json={"target": "auto", "count": cap + 1})
+        assert out.status_code == 400
+        assert out.json() == {
+            "error": "invalid count",
+            "detail": f"count must be an integer in [0, {cap}], got {cap + 1}",
+        }
+        assert requests.get(f"{base}/stats").json()["total_requests"] == 0
 
 
 def test_serve_prints_listening_line_through_a_pipe():

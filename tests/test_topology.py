@@ -237,6 +237,25 @@ def test_natural_key_orders_numeric_suffixes():
     assert sorted(["h10", "h2", "h1", "s3"], key=natural_key) == ["h1", "h2", "h10", "s3"]
 
 
+def test_natural_key_is_computed_once_per_id():
+    natural_key.cache_clear()
+    topo = build_paper_topology()
+    assert natural_key.cache_info().misses == len(topo.nodes)
+    assert natural_key.cache_info().hits > 0
+
+
+def test_natural_key_memo_is_bounded():
+    maxsize = natural_key.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize >= 4 * 900  # scale L ids, several times
+    natural_key.cache_clear()
+    ids = [f"x{i}y" for i in range(maxsize + 500)]
+    keys = [natural_key(i) for i in ids]
+    assert natural_key.cache_info().currsize == maxsize
+    assert keys[0] == natural_key(ids[0]) == ((1, "x"), (0, 0), (1, "y"))  # recomputed after eviction
+    assert natural_key.cache_info().currsize <= maxsize
+    natural_key.cache_clear()
+
+
 def test_node_rejects_bad_level():
     with pytest.raises(TopologyError):
         Node("s1", NodeKind.SWITCH, level=0)
