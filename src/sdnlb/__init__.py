@@ -55,7 +55,6 @@ from .simulator import (
     run_experiment,
 )
 from .topology import (
-    DelayProfile,
     FeatureSet,
     Link,
     Node,

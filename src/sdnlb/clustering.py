@@ -270,6 +270,15 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     rows of server-bearing switches only, so every cluster owns at least
     one server. Centroids are reported in (hops, delay) units for
     comparability with the feature-space path.
+
+    The bearing switches can have fewer distinct embedding rows than k. Lloyd
+    then splits identical rows by switch_ids order, whatever the seed: each
+    row goes to its nearest centroid (the lowest-numbered one on ties), and
+    a cluster left empty takes the row farthest from its centroid among
+    clusters of two or more (the earliest in switch_ids order on ties). If
+    all bearing rows are equal, the first k - 1 bearing switches each get a
+    cluster of their own and the rest share one. Clusters are then numbered
+    by their servers' mean (hops, delay), as for k-means.
     """
     adjacency = topology.switch_adjacency()
     degrees = adjacency.sum(axis=1)
@@ -280,7 +289,7 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
             )
 
     features = topology.features
-    switch_index = {s: i for i, s in enumerate(topology.switch_ids)}
+    switch_index = topology.switch_index
     bearing = sorted(
         {topology.attached_switch(server) for server in features.server_ids},
         key=lambda s: switch_index[s],

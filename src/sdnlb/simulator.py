@@ -67,10 +67,10 @@ class Scenario:
     rtt_window_bytes: float = DEFAULT_RTT_WINDOW_BYTES
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise SimulationError("duration_s must be > 0")
-        if self.rtt_window_bytes <= 0:
-            raise SimulationError("rtt_window_bytes must be > 0")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise SimulationError(f"duration_s must be finite and > 0, got {self.duration_s}")
+        if not (math.isfinite(self.rtt_window_bytes) and self.rtt_window_bytes > 0):
+            raise SimulationError(f"rtt_window_bytes must be finite and > 0, got {self.rtt_window_bytes}")
 
 
 @dataclass(frozen=True)

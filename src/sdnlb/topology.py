@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,10 +78,10 @@ class Link:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError(f"link endpoints must differ (got '{self.a}' twice)")
-        if self.delay_ms < 0:
-            raise TopologyError(f"link {self.a}-{self.b}: delay_ms must be >= 0")
-        if self.capacity_mbps <= 0:
-            raise TopologyError(f"link {self.a}-{self.b}: capacity_mbps must be > 0")
+        if not (math.isfinite(self.delay_ms) and self.delay_ms >= 0):
+            raise TopologyError(f"link {self.a}-{self.b}: delay_ms must be finite and >= 0")
+        if not (math.isfinite(self.capacity_mbps) and self.capacity_mbps > 0):
+            raise TopologyError(f"link {self.a}-{self.b}: capacity_mbps must be finite and > 0")
         if natural_key(self.b) < natural_key(self.a):
             a, b = self.a, self.b
             object.__setattr__(self, "a", b)
@@ -104,87 +108,78 @@ class Topology:
         self._validate()
 
     def _validate(self) -> None:
-        ids = [n.id for n in self.nodes]
-        seen: set[str] = set()
-        for i in ids:
-            if i in seen:
-                raise TopologyError(f"duplicate node id '{i}'")
-            seen.add(i)
+        node_map = self.node_map
+        if len(node_map) != len(self.nodes):
+            duplicate = next(i for i, c in Counter(n.id for n in self.nodes).items() if c > 1)
+            raise TopologyError(f"duplicate node id '{duplicate}'")
 
-        by_id = {n.id: n for n in self.nodes}
         pairs: set[tuple[str, str]] = set()
-        incident: dict[str, list[Link]] = {i: [] for i in ids}
         for link in self.links:
             for end in (link.a, link.b):
-                if end not in by_id:
+                if end not in node_map:
                     raise TopologyError(f"link {link.a}-{link.b} references unknown node id '{end}'")
             if link.key in pairs:
                 raise TopologyError(f"duplicate link between '{link.a}' and '{link.b}'")
             pairs.add(link.key)
-            incident[link.a].append(link)
-            incident[link.b].append(link)
 
-        if self.user_switch not in by_id:
+        if self.user_switch not in node_map:
             raise TopologyError(f"user_switch '{self.user_switch}' is not a node")
-        if by_id[self.user_switch].kind is not NodeKind.SWITCH:
+        if node_map[self.user_switch].kind is not NodeKind.SWITCH:
             raise TopologyError(f"user_switch '{self.user_switch}' must be a switch")
 
         user_hosts = [n for n in self.nodes if n.kind is NodeKind.USER_HOST]
         if len(user_hosts) != 1:
             raise TopologyError(f"expected exactly one user_host, found {len(user_hosts)}")
 
+        adjacency = self.adjacency
         for node in self.nodes:
             if node.kind is NodeKind.SWITCH:
                 continue
-            links = incident[node.id]
-            if len(links) != 1:
-                raise TopologyError(
-                    f"host '{node.id}' must have exactly one link (has {len(links)})"
-                )
-            other = links[0].b if links[0].a == node.id else links[0].a
-            if by_id[other].kind is not NodeKind.SWITCH:
-                raise TopologyError(f"host '{node.id}' must attach to a switch, not '{other}'")
+            neighbours = adjacency[node.id]
+            if len(neighbours) != 1:
+                raise TopologyError(f"host '{node.id}' must have exactly one link (has {len(neighbours)})")
+            if node_map[neighbours[0]].kind is not NodeKind.SWITCH:
+                raise TopologyError(f"host '{node.id}' must attach to a switch, not '{neighbours[0]}'")
 
-        if (
-            user_hosts
-            and self._attachment_of(user_hosts[0].id, incident) != self.user_switch
-        ):
+        if adjacency[user_hosts[0].id][0] != self.user_switch:
             raise TopologyError(
                 f"user host '{user_hosts[0].id}' is not attached to user_switch '{self.user_switch}'"
             )
 
-        unreachable = self._unreachable_from(self.user_switch)
-        if unreachable:
-            raise TopologyError(f"graph is disconnected: node '{unreachable[0]}' unreachable")
-
-    def _attachment_of(self, host_id: str, incident: dict[str, list[Link]]) -> str:
-        link = incident[host_id][0]
-        return link.b if link.a == host_id else link.a
-
-    def _unreachable_from(self, start: str) -> list[str]:
-        adj: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            adj[link.a].append(link.b)
-            adj[link.b].append(link.a)
-        seen = {start}
-        stack = [start]
+        seen = {self.user_switch}
+        stack = [self.user_switch]
         while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
+            for nxt in adjacency[stack.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return sorted((n.id for n in self.nodes if n.id not in seen), key=natural_key)
+        unreachable = next((n.id for n in self.nodes if n.id not in seen), None)
+        if unreachable is not None:
+            raise TopologyError(f"graph is disconnected: node '{unreachable}' unreachable")
 
-    # -- convenience accessors -------------------------------------------
+    # -- indexes and accessors (each built once, on first use) -------------
 
     @cached_property
     def node_map(self) -> dict[str, Node]:
         return {n.id: n for n in self.nodes}
 
     @cached_property
+    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
+        """Neighbour ids of every node, in link order (read-only)."""
+        neighbours: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for link in self.links:
+            neighbours[link.a].append(link.b)
+            neighbours[link.b].append(link.a)
+        return MappingProxyType({i: tuple(v) for i, v in neighbours.items()})
+
+    @cached_property
     def switch_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind is NodeKind.SWITCH)
+
+    @cached_property
+    def switch_index(self) -> Mapping[str, int]:
+        """Position of each switch in switch_ids (read-only)."""
+        return MappingProxyType({s: i for i, s in enumerate(self.switch_ids)})
 
     @cached_property
     def server_ids(self) -> tuple[str, ...]:
@@ -198,31 +193,16 @@ class Topology:
     def n_servers(self) -> int:
         return len(self.server_ids)
 
-    @cached_property
-    def _incident(self) -> dict[str, list[Link]]:
-        inc: dict[str, list[Link]] = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            inc[link.a].append(link)
-            inc[link.b].append(link)
-        return inc
-
     def attached_switch(self, host_id: str) -> str:
         node = self.node_map[host_id]
         if node.kind is NodeKind.SWITCH:
             raise TopologyError(f"'{host_id}' is a switch, not a host")
-        return self._attachment_of(host_id, self._incident)
-
-    def link_between(self, a: str, b: str) -> Link | None:
-        for link in self._incident[a]:
-            if link.key == tuple(sorted((a, b), key=natural_key)):
-                return link
-        return None
+        return self.adjacency[host_id][0]
 
     def switch_adjacency(self) -> np.ndarray:
         """Binary adjacency matrix over switch_ids order."""
-        ids = self.switch_ids
-        index = {s: i for i, s in enumerate(ids)}
-        adj = np.zeros((len(ids), len(ids)))
+        index = self.switch_index
+        adj = np.zeros((len(index), len(index)))
         for link in self.links:
             if link.a in index and link.b in index:
                 i, j = index[link.a], index[link.b]
@@ -284,6 +264,10 @@ def load_topology(document: dict) -> Topology:
         if key not in document:
             raise TopologyError(f"topology document missing required key '{key}'")
 
+    for key in ("nodes", "links"):
+        if not isinstance(document[key], list):
+            raise TopologyError(f"topology document '{key}' must be a list")
+
     nodes = []
     for raw in document["nodes"]:
         if not isinstance(raw, dict) or "id" not in raw or "kind" not in raw:
@@ -305,45 +289,32 @@ def load_topology(document: dict) -> Topology:
             raise TopologyError(
                 f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'"
             )
-        links.append(
-            Link(
-                a=str(raw["a"]),
-                b=str(raw["b"]),
-                delay_ms=float(raw["delay_ms"]),
-                capacity_mbps=float(raw["capacity_mbps"]),
-            )
-        )
+        a, b = str(raw["a"]), str(raw["b"])
+        links.append(Link(a, b, _real(raw, "delay_ms", a, b), _real(raw, "capacity_mbps", a, b)))
 
     return Topology(nodes=tuple(nodes), links=tuple(links), user_switch=str(document["user_switch"]))
+
+
+def _real(raw: dict, key: str, a: str, b: str) -> float:
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TopologyError(f"link {a}-{b}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TopologyError(f"link {a}-{b}: {key} is too large for a float") from None
 
 
 # -- reference 4-level evaluation topology --------------------------------
 
 
-@dataclass(frozen=True)
-class DelayProfile:
-    """Per-tier link delays: one entry per inter-level tier, plus the
-    host attachment delay. Defaults give user-to-level path delays of
-    12, 22 and 30.33 ms."""
-
-    tier_ms: tuple[float, float, float] = (12.0, 10.0, 8.33)
-    host_ms: float = 0.0
-
-    def __post_init__(self):
-        if len(self.tier_ms) != 3:
-            raise TopologyError("delay profile needs exactly 3 inter-level tiers")
-        if any(d < 0 for d in self.tier_ms) or self.host_ms < 0:
-            raise TopologyError("delays must be non-negative")
+# Link delay per inter-level tier (1-2, 2-3, 3-4): the user-to-level path
+# delays are then 12, 22 and 30.33 ms. Host links add no delay.
+PAPER_TIER_DELAYS_MS = (12.0, 10.0, 8.33)
+PAPER_CAPACITY_MBPS = 100.0
 
 
-DEFAULT_DELAY_PROFILE = DelayProfile()
-DEFAULT_CAPACITY_MBPS = 100.0
-
-
-def build_paper_topology(
-    delay_profile: DelayProfile = DEFAULT_DELAY_PROFILE,
-    capacity_mbps: float = DEFAULT_CAPACITY_MBPS,
-) -> Topology:
+def build_paper_topology() -> Topology:
     """Build the bundled 4-level reference topology.
 
     Level 1 holds the user switch s1 with user host h1. Levels 2-4 hold two
@@ -351,19 +322,11 @@ def build_paper_topology(
     level contributes three servers (h2..h10, nine in total). Every switch
     is linked to all switches in the next level and to none in its own.
     """
-    if capacity_mbps <= 0:
-        raise TopologyError("capacity_mbps must be > 0")
-
     nodes = [
         Node("s1", NodeKind.SWITCH, level=1),
         Node("h1", NodeKind.USER_HOST, level=1, label="10.0.0.1"),
     ]
-    links = []
-
-    def host_link(host: str, switch: str) -> Link:
-        return Link(host, switch, delay_profile.host_ms, capacity_mbps)
-
-    links.append(host_link("h1", "s1"))
+    links = [Link("h1", "s1", 0.0, PAPER_CAPACITY_MBPS)]
 
     # per level: (single-server switch, two-server switch)
     level_switches = {1: ["s1"]}
@@ -379,17 +342,14 @@ def build_paper_topology(
         for switch, count in ((single, 1), (double, 2)):
             for _ in range(count):
                 host = f"h{host_n}"
-                nodes.append(
-                    Node(host, NodeKind.SERVER_HOST, level=level, label=f"10.0.0.{host_n}")
-                )
-                links.append(host_link(host, switch))
+                nodes.append(Node(host, NodeKind.SERVER_HOST, level=level, label=f"10.0.0.{host_n}"))
+                links.append(Link(host, switch, 0.0, PAPER_CAPACITY_MBPS))
                 host_n += 1
 
-    for level in (1, 2, 3):
-        tier_delay = delay_profile.tier_ms[level - 1]
+    for level, tier_delay in zip((1, 2, 3), PAPER_TIER_DELAYS_MS):
         for upper in level_switches[level]:
             for lower in level_switches[level + 1]:
-                links.append(Link(upper, lower, tier_delay, capacity_mbps))
+                links.append(Link(upper, lower, tier_delay, PAPER_CAPACITY_MBPS))
 
     return Topology(nodes=tuple(nodes), links=tuple(links), user_switch="s1")
 
@@ -410,7 +370,7 @@ class PathMatrix:
     hops: np.ndarray
     delay_ms: np.ndarray
     next_hop: np.ndarray
-    index: dict[str, int] = field(repr=False, default_factory=dict)
+    index: Mapping[str, int] = field(repr=False, default_factory=dict)
 
     def hops_between(self, a: str, b: str) -> int:
         return int(self.hops[self.index[a], self.index[b]])
@@ -442,7 +402,7 @@ def all_pairs_shortest_paths(topology: Topology) -> PathMatrix:
     """
     ids = topology.switch_ids
     n = len(ids)
-    index = {s: i for i, s in enumerate(ids)}
+    index = topology.switch_index
 
     hops = np.full((n, n), _INF_HOPS, dtype=np.int64)
     delay = np.full((n, n), np.inf)

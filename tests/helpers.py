@@ -19,6 +19,7 @@ from sdnlb.topology import (
     NodeKind,
     Topology,
     all_pairs_shortest_paths,
+    build_paper_topology,
     natural_key,
 )
 
@@ -222,3 +223,31 @@ def count_calls(monkeypatch, module, name: str) -> list:
         if mod_name.split(".")[0] == "sdnlb" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def _paper_document_with(key: str, value, on_link: bool) -> dict:
+    doc = build_paper_topology().document()
+    target = next(l for l in doc["links"] if (l["a"], l["b"]) == ("s1", "s2")) if on_link else doc
+    target[key] = value
+    return doc
+
+
+def _link_cases(key: str, values: dict) -> dict:
+    return {
+        f"{key}-{name}": (_paper_document_with(key, value, True), f"link s1-s2: {key}")
+        for name, value in values.items()
+    }
+
+
+# case id -> (paper document with one bad value, text its TopologyError names):
+# documents every entry point must refuse with a named error, never a crash.
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+BAD_TOPOLOGY_DOCUMENTS = {
+    **_link_cases("delay_ms", {**_NON_FINITE, "text": "abc", "null": None, "bool": True}),
+    **_link_cases("capacity_mbps", {**_NON_FINITE, "text": "100", "bool": False, "huge": 10**400}),
+    **{
+        f"{key}-{name}": (_paper_document_with(key, value, False), f"'{key}' must be a list")
+        for key in ("nodes", "links")
+        for name, value in (("int", 5), ("null", None), ("mapping", {"s1": "switch"}))
+    },
+}

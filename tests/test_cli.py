@@ -1,15 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
 
+import sdnlb
 from sdnlb.cli import main
 from sdnlb.service import make_server
 from sdnlb.topology import build_paper_topology
 
-from helpers import count_calls
+from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
 
 # sha256 of each paper-repro output at the default flags. The reference
 # topology's Laplacian has a threefold eigenvalue 1 across the k = 3
@@ -80,6 +85,23 @@ class TestPaperRepro:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_digests_hold_under_python_O(self, tmp_path):
+        # -O strips assert statements, so no invariant may rest on one
+        env = dict(os.environ)
+        src = str(Path(sdnlb.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "sdnlb", "paper-repro", "--out", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        for name, digest in PAPER_REPRO_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestExperiment:
     def test_single_server_row(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -127,6 +149,13 @@ class TestExperiment:
         servers = [r for r in rows if r[1] == "server"]
         assert len(servers) == 9
         assert len({r[5] for r in servers}) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_duration_exits_2(self, value, capsys):
+        assert main(["experiment", "--state", "big-cluster", f"--duration={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: duration_s must be finite and > 0")
 
     def test_single_server_requires_target(self):
         with pytest.raises(SystemExit):
@@ -181,6 +210,16 @@ class TestOtherCommands:
         assert main(["cluster", "--k", "3", "--method", "spectral"]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", BAD_TOPOLOGY_DOCUMENTS)
+    def test_cluster_on_bad_topology_exits_2(self, case, tmp_path, capsys):
+        document, names = BAD_TOPOLOGY_DOCUMENTS[case]
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(document))
+        assert main(["cluster", "--topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and names in captured.err
 
     def test_table1_csv(self, capsys):
         assert main(["table1"]) == 0

@@ -461,6 +461,18 @@ class TestSpectral:
             model = spectral_cluster(topo, ClusteringConfig(k=k, rng_seed=seed))
             assert set(model.assignment) == set(range(model.n_clusters))
 
+    @pytest.mark.parametrize(
+        "topology_seed, assignment",
+        [(1, (1, 1, 0, 1)), (5, (1, 0))],
+    )
+    def test_identical_rows_split_in_switch_order_for_every_seed(self, topology_seed, assignment):
+        # seed 1: one embedding column and one row for its three bearing
+        # switches; seed 5: two columns, but its two bearing switches share a row
+        topo = random_connected_topology(topology_seed, max_switches=8, max_servers=4)
+        for rng_seed in range(20):
+            model = spectral_cluster(topo, ClusteringConfig(k=2, rng_seed=rng_seed))
+            assert model.assignment == assignment, rng_seed
+
 
 class TestClusterEntryPoint:
     def test_dispatches_by_method_name(self):

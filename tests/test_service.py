@@ -1,4 +1,5 @@
 import http.client
+import json
 import os
 import select
 import subprocess
@@ -16,7 +17,7 @@ import sdnlb
 from sdnlb.service import LoadBalancerService, ServiceError, make_server
 from sdnlb.topology import build_paper_topology
 
-from helpers import count_calls
+from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
 
 TOPOLOGY_DOC = build_paper_topology().document()
 
@@ -330,6 +331,16 @@ class TestHttpEndpoints:
             "error": "clustering failed",
             "detail": "feature set must contain at least one server",
         }
+
+    @pytest.mark.parametrize("case", BAD_TOPOLOGY_DOCUMENTS)
+    def test_bad_topology_value_is_422(self, live_server, case):
+        base, _ = live_server
+        document, names = BAD_TOPOLOGY_DOCUMENTS[case]
+        body = json.dumps(document)  # NaN and Infinity literals, as Python's json reads them
+        out = requests.put(f"{base}/topology", data=body, headers={"Content-Type": "application/json"})
+        assert out.status_code == 422
+        assert out.json()["error"] == "invalid topology"
+        assert names in out.json()["detail"]
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, live_server, length):

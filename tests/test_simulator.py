@@ -201,6 +201,13 @@ class TestRunExperiment:
         with pytest.raises(SimulationError, match="zz"):
             run_experiment(Scenario(topo, pools, SingleServerBurst("zz", 1)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("field", ["duration_s", "rtt_window_bytes"])
+    def test_scenario_rejects_non_finite_or_non_positive(self, paper, field, value):
+        topo, pools = paper
+        with pytest.raises(SimulationError, match=f"{field} must be finite and > 0"):
+            Scenario(topo, pools, BigClusterRR(3), **{field: value})
+
     def test_big_cluster_without_servers_is_named(self, paper):
         from sdnlb.allocator import PoolSet
 

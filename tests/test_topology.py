@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnlb.topology import (
-    DelayProfile,
     Node,
     NodeKind,
     Topology,
@@ -18,7 +18,7 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import bfs_hop_matrix, random_connected_topology
+from helpers import BAD_TOPOLOGY_DOCUMENTS, bfs_hop_matrix, random_connected_topology
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +49,6 @@ class TestBuildPaperTopology:
             a, b = topo.node_map[link.a], topo.node_map[link.b]
             if a.kind is NodeKind.SWITCH and b.kind is NodeKind.SWITCH:
                 assert abs(a.level - b.level) == 1
-
-    def test_zero_delay_profile_keeps_hops(self):
-        flat = build_paper_topology(DelayProfile((0.0, 0.0, 0.0), 0.0))
-        paths = all_pairs_shortest_paths(flat)
-        reference = all_pairs_shortest_paths(build_paper_topology())
-        assert np.array_equal(paths.hops, reference.hops)
-        assert paths.delay_ms.max() == 0.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(TopologyError):
-            build_paper_topology(DelayProfile((-1.0, 10.0, 8.0), 0.0))
-        with pytest.raises(TopologyError):
-            build_paper_topology(capacity_mbps=0.0)
 
 
 MINIMAL_DOC = {
@@ -130,6 +117,12 @@ class TestLoadTopology:
         topo = build_paper_topology()
         assert load_topology(json.loads(json.dumps(topo.document()))) == topo
 
+    @pytest.mark.parametrize("case", BAD_TOPOLOGY_DOCUMENTS)
+    def test_bad_value_is_a_named_error(self, case):
+        document, names = BAD_TOPOLOGY_DOCUMENTS[case]
+        with pytest.raises(TopologyError, match=re.escape(names)):
+            load_topology(document)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
     def test_round_trip_on_random_topologies(self, seed):
@@ -172,13 +165,14 @@ class TestAllPairsShortestPaths:
     def test_next_hop_walk_matches_hops_and_delay(self, seed):
         topo = random_connected_topology(seed)
         paths = all_pairs_shortest_paths(topo)
+        delay = {link.key: link.delay_ms for link in topo.links}
         ids = paths.switch_ids
         for a in ids:
             for b in ids:
                 walk = paths.path(a, b)
                 assert len(walk) - 1 == paths.hops_between(a, b)
                 total = sum(
-                    topo.link_between(x, y).delay_ms for x, y in zip(walk, walk[1:])
+                    delay[tuple(sorted((x, y), key=natural_key))] for x, y in zip(walk, walk[1:])
                 )
                 assert total == pytest.approx(paths.delay_between(a, b), abs=1e-9)
 
@@ -282,3 +276,23 @@ def test_paths_features_and_fingerprint_are_computed_once():
     with pytest.raises(ValueError, match="read-only"):
         topo.paths.hops[0, 0] = 5
     assert topo.fingerprint() == build_paper_topology().fingerprint()
+
+
+def test_adjacency_and_switch_index_are_built_once_and_read_only():
+    topo = random_connected_topology(3)
+    assert topo.adjacency is topo.adjacency
+    assert topo.switch_index is topo.switch_index
+    with pytest.raises(TypeError):
+        topo.switch_index["s1"] = 5
+    with pytest.raises(TypeError):
+        topo.adjacency["s1"] = ()
+    assert dict(topo.switch_index) == {s: i for i, s in enumerate(topo.switch_ids)}
+    assert topo.paths.index is topo.switch_index
+    for node in topo.nodes:
+        expected = sorted(
+            [l.b for l in topo.links if l.a == node.id] + [l.a for l in topo.links if l.b == node.id],
+            key=natural_key,
+        )
+        assert sorted(topo.adjacency[node.id], key=natural_key) == expected
+    for server in topo.server_ids:
+        assert topo.attached_switch(server) == topo.adjacency[server][0]
