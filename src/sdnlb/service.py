@@ -1,9 +1,10 @@
 """Northbound-style REST service over the clustering pipeline.
 
 Staged in-memory state: a topology must be uploaded before clusters can be
-computed, and pools exist only once a model does. Identical repeated GETs
-are no-ops (cluster results are cached by their parameters), so only
-PUT/POST calls mutate state. One lock serializes all state transitions.
+computed, and pools exist only once a model does. One current cluster model
+is kept: a GET /clusters repeating its parameters returns it unchanged, and
+other parameters replace it and rebuild the pools. A method a path does not
+serve gets 405 with an Allow header. One lock serializes all state changes.
 
 Endpoints:
     PUT  /topology                      upload a topology document
@@ -17,18 +18,17 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import allocator, clustering
 from .allocator import EqualPerCluster, SingleCluster, dispatch_sequence
 from .clustering import METHODS, ClusteringConfig, ClusteringError
-from .topology import TopologyError, load_topology, natural_key
+from .topology import TopologyError, load_topology
 
 MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
 MAX_COUNT = 100_000  # requests per POST /requests; each is listed in the reply
-CLUSTER_CACHE_SIZE = 16  # cluster models kept per topology, least recently used out
 
 
 class ServiceError(Exception):
@@ -53,11 +53,9 @@ class LoadBalancerService:
         self.topology = None
         self.pools = None
         self.counters: dict[str, int] = {}
-        # (k, method, seed) -> (document, model), least recently used first;
-        # the current _model_key is always the most recent, so never evicted.
-        # PUT /topology clears it
+        # the current plan: its (k, method, seed) and its document
         self._model_key = None
-        self._cluster_cache: OrderedDict[tuple, tuple] = OrderedDict()
+        self._model_document = None
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -86,28 +84,18 @@ class LoadBalancerService:
                 raise ServiceError(400, "invalid method", f"method must be one of {METHODS}")
             key = (k, method, seed)
             if key == self._model_key:
-                return self._cluster_cache[key][0]
+                return self._model_document
 
             try:
                 features = self.topology.features  # none without a server host
-            except TopologyError as exc:
+                model = clustering.cluster(self.topology, ClusteringConfig(k=k, rng_seed=seed), method)
+            except (TopologyError, ClusteringError) as exc:
                 raise ServiceError(422, "clustering failed", str(exc)) from exc
-            if key not in self._cluster_cache:
-                try:
-                    model = clustering.cluster(self.topology, ClusteringConfig(k=k, rng_seed=seed), method)
-                except ClusteringError as exc:
-                    raise ServiceError(422, "clustering failed", str(exc)) from exc
-                document = clustering.cluster_model_document(model, features)
-                document = {"requested_k": k, "method": method, "seed": seed, **document}
-                self._cluster_cache[key] = (document, model)
-
-            self._cluster_cache.move_to_end(key)
-            while len(self._cluster_cache) > CLUSTER_CACHE_SIZE:
-                self._cluster_cache.popitem(last=False)
-            document, model = self._cluster_cache[key]
+            document = clustering.cluster_model_document(model, features)
             self.pools = allocator.build_pools(model, features)
             self._model_key = key
-            return document
+            self._model_document = {"requested_k": k, "method": method, "seed": seed, **document}
+            return self._model_document
 
     def get_pools(self) -> dict:
         with self._lock:
@@ -144,7 +132,7 @@ class LoadBalancerService:
         with self._lock:
             if self.topology is None:
                 raise ServiceError(409, "no topology", "upload a topology with PUT /topology first")
-            counters = {s: self.counters[s] for s in sorted(self.counters, key=natural_key)}
+            counters = dict(self.counters)  # in natural order, as PUT /topology built it
             total = sum(counters.values())
             body: dict = {"counters": counters, "total_requests": total}
             if self.pools is not None:
@@ -180,11 +168,13 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test output quiet
 
-    def _send(self, status: int, body: dict) -> None:
+    def _send(self, status: int, body: dict, allow: str | None = None) -> None:
         payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if allow is not None:
+            self.send_header("Allow", allow)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -214,52 +204,49 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # never leak a traceback through the socket
             self._send(500, {"error": "internal error", "detail": str(exc)})
 
-    def do_PUT(self):
-        if urlparse(self.path).path == "/topology":
-            self._dispatch(lambda: self.service.put_topology(self._read_json()))
-        else:
+    def _get_clusters(self) -> dict:
+        query = parse_qs(urlparse(self.path).query)
+        try:
+            k = int(query.get("k", ["3"])[0])
+            seed = int(query.get("seed", ["0"])[0])
+        except ValueError as exc:
+            raise ServiceError(400, "invalid parameter", str(exc)) from exc
+        method = query.get("method", ["kmeans"])[0]
+        return self.service.get_clusters(k=k, method=method, seed=seed)
+
+    def _post_requests(self) -> dict:
+        body = self._read_json()
+        if not isinstance(body, dict) or {"target", "count"} - body.keys():
+            raise ServiceError(400, "invalid body", "body must carry 'target' and 'count'")
+        return self.service.post_requests(body["target"], body["count"])
+
+    # path -> method -> handler; service methods are looked up per call, so wrappers apply
+    ROUTES = {
+        "/topology": {"PUT": lambda self: self.service.put_topology(self._read_json())},
+        "/clusters": {"GET": _get_clusters},
+        "/pools": {"GET": lambda self: self.service.get_pools()},
+        "/requests": {"POST": _post_requests},
+        "/stats": {"GET": lambda self: self.service.get_stats()},
+    }
+
+    def _route(self) -> None:
+        path = urlparse(self.path).path
+        methods = self.ROUTES.get(path)
+        if methods is None:
             self._send(404, {"error": "not found", "detail": self.path})
-
-    def do_GET(self):
-        parsed = urlparse(self.path)
-        if parsed.path == "/clusters":
-            query = parse_qs(parsed.query)
-
-            def run():
-                try:
-                    k = int(query.get("k", ["3"])[0])
-                    seed = int(query.get("seed", ["0"])[0])
-                except ValueError as exc:
-                    raise ServiceError(400, "invalid parameter", str(exc)) from exc
-                method = query.get("method", ["kmeans"])[0]
-                return self.service.get_clusters(k=k, method=method, seed=seed)
-
-            self._dispatch(run)
-        elif parsed.path == "/pools":
-            self._dispatch(self.service.get_pools)
-        elif parsed.path == "/stats":
-            self._dispatch(self.service.get_stats)
+        elif self.command not in methods:
+            body = {"error": "method not allowed", "detail": f"{self.command} {path}"}
+            self._send(405, body, allow=", ".join(methods))
         else:
-            self._send(404, {"error": "not found", "detail": self.path})
+            self._dispatch(lambda: methods[self.command](self))
 
-    def do_POST(self):
-        if urlparse(self.path).path == "/requests":
-            def run():
-                body = self._read_json()
-                if not isinstance(body, dict) or {"target", "count"} - body.keys():
-                    raise ServiceError(400, "invalid body", "body must carry 'target' and 'count'")
-                return self.service.post_requests(body["target"], body["count"])
-
-            self._dispatch(run)
-        else:
-            self._send(404, {"error": "not found", "detail": self.path})
+    do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = _route
 
 
-def make_server(host: str = "127.0.0.1", port: int = 0,
-                service: LoadBalancerService | None = None) -> ThreadingHTTPServer:
+def make_server(host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Build (but do not start) the HTTP server; port 0 binds an ephemeral port."""
     server = ThreadingHTTPServer((host, port), _Handler)
-    server.service = service or LoadBalancerService()  # type: ignore[attr-defined]
+    server.service = LoadBalancerService()  # type: ignore[attr-defined]
     return server
 
 

@@ -156,7 +156,9 @@ def max_min_fair_rates(
             frozen_load[key] += mult[c] * rate
             live_weight[key] -= mult[c]
 
-    while any(active):
+    for _ in range(len(caps) + 1):  # each round freezes at least one class
+        if not any(active):
+            break
         link_levels = {
             key: (capacity[key] - frozen_load[key]) / live_weight[key]
             for key in links
@@ -175,6 +177,8 @@ def max_min_fair_rates(
                 for c in members[key]:
                     if active[c]:
                         freeze(c, level)
+    else:
+        raise SimulationError(f"progressive filling left classes unfrozen after {len(caps) + 1} rounds")
 
     _check_conservation([m * r for m, r in zip(mult, rates)], class_links, capacity)
     return np.array(rates)[flow_class]

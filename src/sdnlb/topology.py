@@ -269,30 +269,38 @@ def load_topology(document: dict) -> Topology:
             raise TopologyError(f"topology document '{key}' must be a list")
 
     nodes = []
-    for raw in document["nodes"]:
+    for i, raw in enumerate(document["nodes"]):
         if not isinstance(raw, dict) or "id" not in raw or "kind" not in raw:
             raise TopologyError(f"node entry {raw!r} must carry 'id' and 'kind'")
+        node_id = _name(raw["id"], "nodes", i, "id")
         try:
             kind = NodeKind(raw["kind"])
         except ValueError:
-            raise TopologyError(
-                f"node '{raw['id']}': unknown kind '{raw['kind']}'"
-            ) from None
-        level = raw.get("level")
+            raise TopologyError(f"node '{node_id}': unknown kind '{raw['kind']}'") from None
+        level, label = raw.get("level"), raw.get("label")
         if level is not None and (not isinstance(level, int) or isinstance(level, bool)):
-            raise TopologyError(f"node '{raw['id']}': level must be an integer")
-        nodes.append(Node(id=str(raw["id"]), kind=kind, level=level, label=raw.get("label")))
+            raise TopologyError(f"node '{node_id}': level must be an integer")
+        if label is not None and not isinstance(label, str):
+            raise TopologyError(f"node '{node_id}': label must be a string or null, got {label!r}")
+        nodes.append(Node(id=node_id, kind=kind, level=level, label=label))
 
     links = []
-    for raw in document["links"]:
+    for i, raw in enumerate(document["links"]):
         if not isinstance(raw, dict) or not {"a", "b", "delay_ms", "capacity_mbps"} <= raw.keys():
             raise TopologyError(
                 f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'"
             )
-        a, b = str(raw["a"]), str(raw["b"])
+        a, b = _name(raw["a"], "links", i, "a"), _name(raw["b"], "links", i, "b")
         links.append(Link(a, b, _real(raw, "delay_ms", a, b), _real(raw, "capacity_mbps", a, b)))
 
-    return Topology(nodes=tuple(nodes), links=tuple(links), user_switch=str(document["user_switch"]))
+    return Topology(tuple(nodes), tuple(links), _name(document["user_switch"], "user_switch"))
+
+
+def _name(value, section: str, index: int | None = None, key: str = "") -> str:
+    if isinstance(value, str) and value:
+        return value
+    element = section if index is None else f"{section}[{index}].{key}"
+    raise TopologyError(f"{element} must be a non-empty string, got {value!r}")
 
 
 def _real(raw: dict, key: str, a: str, b: str) -> float:

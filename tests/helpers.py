@@ -239,6 +239,16 @@ def _link_cases(key: str, values: dict) -> dict:
     }
 
 
+def _first_entry_cases(section: str, key: str, values: dict, names: str) -> dict:
+    """Cases that set `key` of the first node or link (h1, h1-s1) to each value."""
+    cases = {}
+    for name, value in values.items():
+        doc = build_paper_topology().document()
+        doc[section][0][key] = value
+        cases[f"{section}[0].{key}-{name}"] = (doc, names)
+    return cases
+
+
 # case id -> (paper document with one bad value, text its TopologyError names):
 # documents every entry point must refuse with a named error, never a crash.
 _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -250,4 +260,15 @@ BAD_TOPOLOGY_DOCUMENTS = {
         for key in ("nodes", "links")
         for name, value in (("int", 5), ("null", None), ("mapping", {"s1": "switch"}))
     },
+    **_first_entry_cases(
+        "nodes", "id", {"null": None, "int": 1, "list": ["h1"], "mapping": {"id": "h1"}, "empty": ""},
+        "nodes[0].id must be a non-empty string",
+    ),
+    **_first_entry_cases("links", "a", {"null": None}, "links[0].a must be a non-empty string"),
+    "user_switch-list": (
+        _paper_document_with("user_switch", ["s1"], False), "user_switch must be a non-empty string, got ['s1']"
+    ),
+    **_first_entry_cases(
+        "nodes", "label", {"list": [1, {}], "mapping": {"ip": "10.0.0.1"}}, "node 'h1': label must be a string or null"
+    ),
 }

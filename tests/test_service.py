@@ -125,26 +125,24 @@ class TestGetClusters:
         monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=no_hashing))
         assert service.get_clusters(k=3) is first
 
-    def test_cluster_cache_is_a_bounded_lru_that_keeps_the_current_model(self, service, monkeypatch):
+    def test_one_current_plan(self, service, monkeypatch):
         import sdnlb.clustering
 
         service.put_topology(TOPOLOGY_DOC)
         runs = count_calls(monkeypatch, sdnlb.clustering, "cluster")
-        size = sdnlb.service.CLUSTER_CACHE_SIZE
-        for seed in range(3 * size):
-            current = service.get_clusters(k=3, seed=seed)
-            assert len(service._cluster_cache) <= size
-            assert service._cluster_cache[(3, "kmeans", seed)][0] is current
-        assert len(runs) == 3 * size
-        assert service.get_clusters(k=3, seed=3 * size - 1) is current  # current model: a hit
-        assert len(runs) == 3 * size
-        # least recently used goes first: touching the oldest entry keeps it
-        oldest = 2 * size
-        service.get_clusters(k=3, seed=oldest)
-        service.get_clusters(k=3, seed=-1)
-        assert (3, "kmeans", oldest) in service._cluster_cache
-        assert (3, "kmeans", oldest + 1) not in service._cluster_cache
-        assert len(runs) == 3 * size + 1
+        a = service.get_clusters(k=3, seed=0)
+        assert len(runs) == 1
+        assert service.get_clusters(k=3, seed=0) is a  # current parameters: no clustering
+        assert len(runs) == 1
+        b = service.get_clusters(k=2, method="spectral", seed=4)
+        assert len(runs) == 2
+        assert service.get_clusters(k=2, method="spectral", seed=4) is b
+        again = service.get_clusters(k=3, seed=0)  # a switch back clusters once more
+        assert len(runs) == 3
+        assert json.dumps(again) == json.dumps(a)
+        service.put_topology(TOPOLOGY_DOC)  # a new topology clears the plan
+        service.get_clusters(k=3, seed=0)
+        assert len(runs) == 4
 
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -214,6 +212,14 @@ class TestStats:
         assert stats["total_requests"] == 17
         assert sum(stats["counters"].values()) == 17
         assert stats["load_summary"]["k"] == 3
+
+    def test_counters_in_natural_order(self, service):
+        service.put_topology(TOPOLOGY_DOC)
+        service.get_clusters(k=3)
+        service.post_requests(2, 7)  # one pool first, then all of them
+        service.post_requests("auto", 5)
+        ids = [n["id"] for n in TOPOLOGY_DOC["nodes"] if n["kind"] == "server_host"]
+        assert list(service.get_stats()["counters"]) == ids == [f"h{i}" for i in range(2, 11)]
 
     def test_stats_without_model(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -391,6 +397,29 @@ class TestHttpEndpoints:
             "detail": f"count must be an integer in [0, {cap}], got {cap + 1}",
         }
         assert requests.get(f"{base}/stats").json()["total_requests"] == 0
+
+
+# every path of the route table, with the method it serves
+ROUTES = {"/topology": "PUT", "/clusters": "GET", "/pools": "GET", "/requests": "POST", "/stats": "GET"}
+
+
+@pytest.mark.parametrize("path", [*ROUTES, "/nope"])
+@pytest.mark.parametrize("method", ["GET", "PUT", "POST", "DELETE", "PATCH"])
+def test_every_method_on_every_path_answers_json(live_server, path, method):
+    base, _ = live_server
+    out = requests.request(method, f"{base}{path}?k=3", json={})
+    assert out.headers["Content-Type"] == "application/json"
+    body = out.json()
+    if path not in ROUTES:
+        assert out.status_code == 404
+        assert body == {"error": "not found", "detail": f"{path}?k=3"}
+    elif method != ROUTES[path]:
+        assert out.status_code == 405
+        assert out.headers["Allow"] == ROUTES[path]
+        assert body == {"error": "method not allowed", "detail": f"{method} {path}"}
+    else:  # the endpoint's own answer: a result, or its named 4xx for this empty body
+        assert out.status_code not in (404, 405, 500, 501)
+        assert out.status_code == 200 or set(body) == {"error", "detail"}
 
 
 def test_serve_prints_listening_line_through_a_pipe():

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 
@@ -89,6 +90,27 @@ class TestMaxMinFairRates:
         flow = Flow("u1", "v1", ("s1",), rtt_ms=0.0)
         with pytest.raises(SimulationError, match="constraint"):
             max_min_fair_rates([flow], topo)
+
+    def test_filling_that_freezes_nothing_stops_with_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(sdnlb.simulator, "_LEVEL_TOL", -math.inf)  # no level is ever reached
+        topo = chain_topology(3)
+        paths = all_pairs_shortest_paths(topo)
+        flows = [
+            Flow("u1", "v1", paths.path("s1", "s3"), rtt_ms=10.0),
+            Flow("u1", "v1", paths.path("s1", "s2"), rtt_ms=5.0),
+        ]
+
+        def deadline(signum, frame):
+            raise AssertionError("progressive filling did not stop within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, deadline)
+        signal.alarm(5)
+        try:
+            with pytest.raises(SimulationError, match="unfrozen after 3 rounds"):
+                max_min_fair_rates(flows, topo, rtt_window_bytes=BIG_WINDOW)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_fairness_property_on_random_instances(self, seed):
