@@ -8,6 +8,7 @@ to one request.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ class Pool:
 
     def __post_init__(self):
         if not self.members:
-            raise AllocationError(f"pool {self.cluster_index} has no members")
+            raise AllocationError(f"pool {self.cluster_index} has no servers")
         if len(set(self.members)) != len(self.members):
             raise AllocationError(f"pool {self.cluster_index} has duplicate members")
         if not 0 <= self.cursor < len(self.members):
@@ -105,39 +106,40 @@ def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
     return PoolSet(pools=pools)
 
 
+def _shares(pools: PoolSet, total_requests: int, split: Split) -> list[tuple[Pool, int]]:
+    """The pools a split draws from, in order, with the requests each takes
+    (a burst takes from a one-member pool of its own, so no cursor moves)."""
+    if total_requests < 0:
+        raise AllocationError("total_requests must be >= 0")
+    if isinstance(split, SingleServer):
+        for pool in pools.pools:
+            if split.server_id in pool.members:
+                return [(Pool(pool.cluster_index, (split.server_id,), pool.centroid), total_requests)]
+        raise AllocationError(f"unknown server '{split.server_id}'")
+    if isinstance(split, SingleCluster):
+        return [(pools.pool(split.cluster_index), total_requests)]
+    if isinstance(split, EqualPerCluster):
+        if not pools.pools:
+            raise AllocationError("an equal split needs at least one pool")
+        base, remainder = divmod(total_requests, len(pools.pools))
+        return [(pool, base + (1 if position < remainder else 0)) for position, pool in enumerate(pools.pools)]
+    raise AllocationError(f"unknown split {split!r}")
+
+
 def dispatch_sequence(pools: PoolSet, total_requests: int, split: Split) -> list[str]:
     """Ordered server assignments for total_requests under the given split.
 
     Advances pool cursors; the caller owns serialization of concurrent use.
     """
-    if total_requests < 0:
-        raise AllocationError("total_requests must be >= 0")
-    if isinstance(split, SingleServer):
-        servers = set()
-        for pool in pools.pools:
-            servers.update(pool.members)
-        if split.server_id not in servers:
-            raise AllocationError(f"unknown server '{split.server_id}'")
-        return [split.server_id] * total_requests
-    if isinstance(split, SingleCluster):
-        pool = pools.pool(split.cluster_index)
-        return [pool.take() for _ in range(total_requests)]
-    if isinstance(split, EqualPerCluster):
-        k = len(pools.pools)
-        base, remainder = divmod(total_requests, k)
-        sequence = []
-        for position, pool in enumerate(pools.pools):
-            share = base + (1 if position < remainder else 0)
-            sequence.extend(pool.take() for _ in range(share))
-        return sequence
-    raise AllocationError(f"unknown split {split!r}")
+    return [pool.take() for pool, share in _shares(pools, total_requests, split) for _ in range(share)]
 
 
 def distribute_requests(pools: PoolSet, total_requests: int, split: Split) -> dict[str, int]:
-    """Per-server request counts (zero-filled) for the given split."""
-    counts = {s: 0 for s in sorted(pools.all_servers(), key=natural_key)}
-    for server in dispatch_sequence(pools, total_requests, split):
-        counts[server] += 1
+    """Per-server request counts for the split, zero-filled in natural server
+    order: the simulator's one source of counts. An equal split over no pools,
+    an unknown target or a negative count raises AllocationError."""
+    counts = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
+    counts.update(Counter(dispatch_sequence(pools, total_requests, split)))
     return counts
 
 

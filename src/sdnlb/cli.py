@@ -134,6 +134,7 @@ def cmd_paper_repro(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     topology = build_paper_topology()
     failures: list[str] = []
+    requests = 30  # the request count of the paper's printed rows
 
     def check(name: str, ok: bool) -> None:
         print(f"{'ok' if ok else 'FAIL'}  {name}")
@@ -160,8 +161,8 @@ def cmd_paper_repro(args) -> int:
     check("kmeans clusters follow topology levels", all(len(v) == 1 for v in levels.values()))
 
     # k sweep
-    (out_dir / "table1.csv").write_text(_table1_csv(topology.n_servers, args.requests))
-    rows = table1(topology.n_servers, args.requests)
+    (out_dir / "table1.csv").write_text(_table1_csv(topology.n_servers, requests))
+    rows = table1(topology.n_servers, requests)
     printed = ["3.33", "1.875", "1.428", "1.25", "1.2", "1.25", "1.428", "1.875", "3.33"]
     got = [
         truncate_fraction(r.avg_load_largest_cluster, len(p.partition(".")[2])) for r, p in zip(rows, printed)
@@ -171,21 +172,20 @@ def cmd_paper_repro(args) -> int:
     # workload states
     pools = build_pools(km_model, features)
     scenarios = [
-        Scenario(topology, pools, SingleServerBurst("h3", args.requests)),
-        Scenario(topology, pools, BigClusterRR(args.requests)),
-        Scenario(topology, pools, ClusteredRR(args.requests // 3)),
+        Scenario(topology, pools, SingleServerBurst("h3", requests)),
+        Scenario(topology, pools, BigClusterRR(requests)),
+        Scenario(topology, pools, ClusteredRR(requests // 3)),
     ]
     reports = [run_experiment(s) for s in scenarios]
 
     burst, big, clustered = reports
     check(
         "single-server burst lands on the target only",
-        burst.per_server_requests["h3"] == args.requests
-        and sum(burst.per_server_requests.values()) == args.requests,
+        burst.per_server_requests["h3"] == requests
+        and sum(burst.per_server_requests.values()) == requests,
     )
     big_counts = sorted(big.per_server_requests.values(), reverse=True)
-    want = [args.requests // 9 + (1 if i < args.requests % 9 else 0) for i in range(9)]
-    check("big-cluster round robin is balanced", big_counts == want)
+    check("big-cluster round robin is balanced", big_counts == [4, 4, 4, 3, 3, 3, 3, 3, 3])
     per_cluster = {}
     for server, count in clustered.per_server_requests.items():
         per_cluster.setdefault(clustered.server_cluster[server], []).append(count)
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repro = sub.add_parser("paper-repro", help="regenerate all reference results")
     p_repro.add_argument("--seed", type=int, default=0)
-    p_repro.add_argument("--requests", type=int, default=30)
     p_repro.add_argument("--out", default="paper-repro")
     p_repro.set_defaults(fn=cmd_paper_repro)
 

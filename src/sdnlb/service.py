@@ -176,7 +176,13 @@ class _Handler(BaseHTTPRequestHandler):
         if allow is not None:
             self.send_header("Allow", allow)
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":
+            self.wfile.write(payload)
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own replies (bad request line, no do_ method) as JSON."""
+        short, long = self.responses.get(code, ("error", ""))
+        self._send(code, {"error": short.lower(), "detail": message or explain or long})
 
     def _read_json(self) -> dict:
         header = self.headers.get("Content-Length", "0")

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import PoolSet, SingleCluster, dispatch_sequence
+from .allocator import (
+    AllocationError, EqualPerCluster, Pool, PoolSet, SingleCluster, SingleServer, distribute_requests,
+)
 from .topology import PathMatrix, Topology, natural_key
 
 DEFAULT_DURATION_S = 10.0
@@ -211,30 +213,24 @@ def _check_conservation(class_loads, class_links, capacity) -> None:
 
 
 def _request_counts(scenario: Scenario) -> dict[str, int]:
+    """Each state is a split for the allocator: a burst at one server, round
+    robin over one pool of every server, or an equal share per cluster."""
     pools = scenario.pools.copy()  # the simulation never mutates caller state
     state = scenario.state
-    servers = sorted(pools.all_servers(), key=natural_key)
-    counts = {s: 0 for s in servers}
-    if isinstance(state, SingleServerBurst):
-        if state.server_id not in counts:
-            raise SimulationError(f"unknown server '{state.server_id}'")
-        counts[state.server_id] = state.requests
-    elif isinstance(state, BigClusterRR):
-        # round robin over one pool of every server, from the first
-        if not servers:
-            raise SimulationError("big-cluster state needs at least one server")
-        base, extra = divmod(state.requests, len(servers))
-        for position, server in enumerate(servers):
-            counts[server] = base + (1 if position < extra else 0)
-    elif isinstance(state, ClusteredRR):
-        for pool in pools.pools:
-            for server in dispatch_sequence(
-                pools, state.requests_per_cluster, SingleCluster(pool.cluster_index)
-            ):
-                counts[server] += 1
-    else:
-        raise SimulationError(f"unknown state {state!r}")
-    return counts
+    try:
+        if isinstance(state, SingleServerBurst):
+            total, split = state.requests, SingleServer(state.server_id)
+        elif isinstance(state, BigClusterRR):
+            # one pool of every server, in natural order, from the first
+            servers = tuple(sorted(pools.all_servers(), key=natural_key))
+            pools, total, split = PoolSet([Pool(0, servers, (0.0, 0.0))]), state.requests, SingleCluster(0)
+        elif isinstance(state, ClusteredRR):
+            total, split = state.requests_per_cluster * len(pools.pools), EqualPerCluster()
+        else:
+            raise SimulationError(f"unknown state {state!r}")
+        return distribute_requests(pools, total, split)
+    except AllocationError as exc:
+        raise SimulationError(f"{state.label}: {exc}") from exc
 
 
 def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -> list[Flow]:
@@ -261,11 +257,10 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     flows = build_flows(topology, counts, topology.paths)
     rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
 
-    servers = sorted(counts, key=natural_key)
-    bandwidth = {s: 0.0 for s in servers}
+    bandwidth = dict.fromkeys(counts, 0.0)  # counts are in natural order
     for flow, rate in zip(flows, rates.tolist()):
         bandwidth[flow.dst] += rate
-    bytes_mb = {s: bandwidth[s] * scenario.duration_s / 8.0 for s in servers}
+    bytes_mb = {s: bw * scenario.duration_s / 8.0 for s, bw in bandwidth.items()}
 
     server_cluster = {
         s: pool.cluster_index for pool in scenario.pools.pools for s in pool.members
@@ -349,18 +344,15 @@ def compare_reports(reports: list[ExperimentReport]) -> ComparisonTable:
     report (the baseline state)."""
     if not reports:
         raise SimulationError("need at least one report")
-    first = reports[0]
-    for report in reports[1:]:
-        if report.topology_id != first.topology_id:
-            raise SimulationError("reports come from different topologies")
+    if len({report.topology_id for report in reports}) > 1:
+        raise SimulationError("reports come from different topologies")
 
-    baseline = _cluster_aggregate(first)
+    aggregates = [_cluster_aggregate(report) for report in reports]
     rows = []
-    for report in reports:
-        aggregate = _cluster_aggregate(report)
+    for report, aggregate in zip(reports, aggregates):
         for cluster in sorted(aggregate):
             requests, bytes_mb, bw = aggregate[cluster]
-            _, base_bytes, base_bw = baseline.get(cluster, (0, 0.0, 0.0))
+            _, base_bytes, base_bw = aggregates[0].get(cluster, (0, 0.0, 0.0))
             rows.append(
                 ComparisonRow(
                     state=report.label,

@@ -10,8 +10,16 @@ from collections import deque
 
 import numpy as np
 
+from sdnlb.allocator import Pool, PoolSet
 from sdnlb.clustering import ClusteringError, effective_k
-from sdnlb.simulator import DEFAULT_RTT_WINDOW_BYTES, Flow, SimulationError, window_rate_cap_mbps
+from sdnlb.simulator import (
+    DEFAULT_RTT_WINDOW_BYTES,
+    BigClusterRR,
+    Flow,
+    SimulationError,
+    SingleServerBurst,
+    window_rate_cap_mbps,
+)
 from sdnlb.topology import (
     FeatureSet,
     Link,
@@ -207,6 +215,41 @@ def per_flow_max_min_rates(
                 frozen_load[key] += rates[i]
         active -= frozen
     return rates
+
+
+def random_pool_set(seed: int) -> PoolSet:
+    """1-4 pools of 1-6 distinct servers each, members and pools in random
+    (not natural) order, every cursor at a random member."""
+    rnd = random.Random(seed)
+    sizes = [rnd.randint(1, 6) for _ in range(rnd.randint(1, 4))]
+    servers = [f"v{i}" for i in range(1, sum(sizes) + 1)]
+    rnd.shuffle(servers)
+    pools = []
+    for index, size in enumerate(sizes):
+        members, servers = tuple(servers[:size]), servers[size:]
+        pools.append(Pool(index, members, (float(index), 0.0), cursor=rnd.randrange(size)))
+    rnd.shuffle(pools)
+    return PoolSet(pools)
+
+
+def request_counts_oracle(pools: PoolSet, state) -> dict[str, int]:
+    """Per-server counts of a workload state, from its definition: a burst
+    lands on its target; big-cluster deals the requests over every server in
+    natural order, the first ones taking one extra; clustered rotates each
+    pool from its own cursor."""
+    servers = sorted(pools.all_servers(), key=natural_key)
+    counts = dict.fromkeys(servers, 0)
+    if isinstance(state, SingleServerBurst):
+        counts[state.server_id] = state.requests
+    elif isinstance(state, BigClusterRR):
+        base, extra = divmod(state.requests, len(servers))
+        for position, server in enumerate(servers):
+            counts[server] = base + (1 if position < extra else 0)
+    else:
+        for pool in pools.pools:
+            for i in range(state.requests_per_cluster):
+                counts[pool.members[(pool.cursor + i) % len(pool.members)]] += 1
+    return counts
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

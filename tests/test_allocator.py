@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from sdnlb.allocator import (
     truncate_fraction,
 )
 from sdnlb.clustering import ClusteringConfig, kmeans_cluster
-from sdnlb.topology import all_pairs_shortest_paths, build_paper_topology, server_features
+from sdnlb.topology import all_pairs_shortest_paths, build_paper_topology, natural_key, server_features
+
+from helpers import random_pool_set
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,34 @@ class TestDistributeRequests:
         ]
         counts = distribute_requests(simple_pools(*groups), requests, EqualPerCluster())
         assert sum(counts.values()) == requests
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 500), st.data())
+    def test_counts_are_the_counted_sequence(self, seed, n, data):
+        # the contract a closed-form distribute_requests has to keep
+        pools = random_pool_set(seed)
+        splits = [
+            EqualPerCluster(),
+            *(SingleCluster(p.cluster_index) for p in pools.pools),
+            *(SingleServer(s) for s in pools.all_servers()),
+        ]
+        split = data.draw(st.sampled_from(splits))
+        counted, sequenced = pools.copy(), pools.copy()
+        counts = distribute_requests(counted, n, split)
+        want = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
+        want.update(Counter(dispatch_sequence(sequenced, n, split)))
+        assert list(counts.items()) == list(want.items())
+        assert [p.cursor for p in counted.pools] == [p.cursor for p in sequenced.pools]
+
+    @pytest.mark.parametrize("dispatch", [dispatch_sequence, distribute_requests])
+    def test_equal_split_over_no_pools_is_named(self, dispatch):
+        with pytest.raises(AllocationError, match="at least one pool"):
+            dispatch(PoolSet([]), 3, EqualPerCluster())
+
+    @pytest.mark.parametrize("split", [EqualPerCluster(), SingleCluster(0), SingleServer("a")])
+    def test_negative_count_is_named(self, split):
+        with pytest.raises(AllocationError, match="total_requests must be >= 0"):
+            distribute_requests(simple_pools(["a", "b"]), -1, split)
 
 
 PRINTED_ROW_AVG_SERVERS = ["9", "4.5", "3", "2.25", "1.8", "1.5", "1.28", "1.125", "1"]

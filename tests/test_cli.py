@@ -50,6 +50,13 @@ class TestPaperRepro:
         for name in ("table1.csv", "clusters.csv", "experiments.csv"):
             assert (outputs / name).is_file()
 
+    def test_request_count_is_not_an_option(self, tmp_path, capsys):
+        # the checks compare against the paper's rows for 30 requests
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-repro", "--requests", "31", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --requests 31" in capsys.readouterr().err
+
     def test_table_row3_matches_printed_values(self, outputs):
         rows = (outputs / "table1.csv").read_text().splitlines()
         cells = rows[3].split(",")[1:]
@@ -156,6 +163,16 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: duration_s must be finite and > 0")
+
+    @pytest.mark.parametrize(
+        "state", [["--state", "big-cluster"], ["--state", "single-server", "--target", "h3"]]
+    )
+    def test_negative_requests_exit_2(self, state, capsys):
+        assert main(["experiment", *state, "--requests", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "total_requests must be >= 0" in captured.err
 
     def test_single_server_requires_target(self):
         with pytest.raises(SystemExit):

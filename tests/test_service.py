@@ -2,6 +2,7 @@ import http.client
 import json
 import os
 import select
+import socket
 import subprocess
 import sys
 import threading
@@ -420,6 +421,43 @@ def test_every_method_on_every_path_answers_json(live_server, path, method):
     else:  # the endpoint's own answer: a result, or its named 4xx for this empty body
         assert out.status_code not in (404, 405, 500, 501)
         assert out.status_code == 200 or set(body) == {"error", "detail"}
+
+
+def raw_exchange(base: str, request: bytes) -> tuple[str, dict, bytes]:
+    """Send raw request bytes; return the status line, headers and body of
+    the reply, read until the server closes the connection."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(request)
+        reply = b"".join(iter(lambda: conn.recv(4096), b""))
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *lines = head.decode("iso-8859-1").split("\r\n")
+    return status, dict(line.split(": ", 1) for line in lines), body
+
+
+@pytest.mark.parametrize(
+    "request_line,status,detail",
+    [
+        ("OPTIONS /stats HTTP/1.0", "501 Not Implemented", "Unsupported method ('OPTIONS')"),
+        ("FOO /stats HTTP/1.0", "501 Not Implemented", "Unsupported method ('FOO')"),
+        ("GET /a b c HTTP/1.0", "400 Bad Request", "Bad request syntax ('GET /a b c HTTP/1.0')"),
+    ],
+)
+def test_stdlib_error_replies_are_json(live_server, request_line, status, detail):
+    base, _ = live_server
+    got_status, headers, body = raw_exchange(base, request_line.encode() + b"\r\n\r\n")
+    assert got_status == f"HTTP/1.0 {status}"
+    assert headers["Content-Type"] == "application/json"
+    assert int(headers["Content-Length"]) == len(body)
+    assert json.loads(body) == {"error": status.split(" ", 1)[1].lower(), "detail": detail}
+
+
+def test_head_error_reply_has_no_body(live_server):
+    base, _ = live_server
+    status, headers, body = raw_exchange(base, b"HEAD /stats HTTP/1.0\r\n\r\n")
+    assert status == "HTTP/1.0 501 Not Implemented"
+    assert headers["Content-Type"] == "application/json"
+    assert body == b""
 
 
 def test_serve_prints_listening_line_through_a_pipe():

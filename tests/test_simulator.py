@@ -3,11 +3,13 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdnlb.simulator
 import sdnlb.topology
 
-from sdnlb.allocator import build_pools
+from sdnlb.allocator import PoolSet, build_pools
 from sdnlb.clustering import ClusteringConfig, kmeans_cluster
 from sdnlb.simulator import (
     BigClusterRR,
@@ -29,7 +31,14 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import count_calls, is_max_min_fair, per_flow_max_min_rates, random_flow_instance
+from helpers import (
+    count_calls,
+    is_max_min_fair,
+    per_flow_max_min_rates,
+    random_flow_instance,
+    random_pool_set,
+    request_counts_oracle,
+)
 
 BIG_WINDOW = 1e12  # cap never binds
 
@@ -350,6 +359,31 @@ class TestCompareReports:
         lines = compare_reports([report]).to_csv().splitlines()
         assert lines[0].startswith("state,cluster,requests,")
         assert len(lines) == 4
+
+
+class TestRequestCounts:
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.data())
+    def test_each_state_matches_its_definition(self, paper, seed, n, data):
+        topo, _ = paper
+        pools = random_pool_set(seed)
+        target = data.draw(st.sampled_from(sorted(pools.all_servers())))
+        cursors = [p.cursor for p in pools.pools]
+        for state in (SingleServerBurst(target, n), BigClusterRR(n), ClusteredRR(n)):
+            counts = sdnlb.simulator._request_counts(Scenario(topo, pools, state))
+            assert list(counts.items()) == list(request_counts_oracle(pools, state).items())
+            assert [p.cursor for p in pools.pools] == cursors
+
+    @pytest.mark.parametrize("state", [SingleServerBurst("h3", -1), BigClusterRR(-1), ClusteredRR(-1)])
+    def test_negative_requests_are_named(self, paper, state):
+        topo, pools = paper
+        with pytest.raises(SimulationError, match=f"{state.label}: total_requests must be >= 0"):
+            run_experiment(Scenario(topo, pools, state))
+
+    def test_clustered_without_pools_is_named(self, paper):
+        topo, _ = paper
+        with pytest.raises(SimulationError, match="clustered: an equal split needs at least one pool"):
+            run_experiment(Scenario(topo, PoolSet([]), ClusteredRR(3)))
 
 
 def _single_pool(topo):
