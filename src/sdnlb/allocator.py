@@ -86,7 +86,7 @@ Split = EqualPerCluster | SingleCluster | SingleServer
 
 def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
     """One pool per cluster, members in natural server-id order, pools in
-    priority order, cursors at zero."""
+    cluster order (cluster 0 is the nearest), cursors at zero."""
     if len(model.assignment) != len(features.server_ids):
         raise AllocationError(
             f"model covers {len(model.assignment)} servers, features have {len(features.server_ids)}"
@@ -94,16 +94,12 @@ def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
     members: dict[int, list[str]] = {c: [] for c in range(model.n_clusters)}
     for server, cluster in zip(features.server_ids, model.assignment):
         members[cluster].append(server)
-    pools = []
-    for cluster in model.priority_order:
-        pools.append(
-            Pool(
-                cluster_index=cluster,
-                members=tuple(sorted(members[cluster], key=natural_key)),
-                centroid=model.centroids[cluster],
-            )
-        )
-    return PoolSet(pools=pools)
+    return PoolSet(
+        pools=[
+            Pool(cluster, tuple(sorted(servers, key=natural_key)), model.centroids[cluster])
+            for cluster, servers in members.items()
+        ]
+    )
 
 
 def _shares(pools: PoolSet, total_requests: int, split: Split) -> list[tuple[Pool, int]]:
@@ -174,13 +170,13 @@ def avg_load_largest_cluster(requests: int, k: int, n_servers: int) -> Fraction:
 
 
 def table1(n_servers: int, requests: int, k_range=None) -> list[LoadSummary]:
-    """Capacity/load sweep over cluster counts (defaults to k = 1..n)."""
+    """Capacity/load sweep over cluster counts (defaults to k = 1..n); a k
+    outside [1, n] or a negative request count raises AllocationError."""
     if k_range is None:
         k_range = range(1, n_servers + 1)
     rows = []
     for k in k_range:
-        if k < 1 or k > n_servers:
-            raise AllocationError(f"k={k} out of range [1, {n_servers}]")
+        load = avg_load_largest_cluster(requests, k, n_servers)  # checks k before Fraction(n, k)
         rows.append(
             LoadSummary(
                 n_servers=n_servers,
@@ -188,7 +184,7 @@ def table1(n_servers: int, requests: int, k_range=None) -> list[LoadSummary]:
                 requests=requests,
                 avg_servers_per_cluster=Fraction(n_servers, k),
                 capacity_multiplier_pct=100 * k,
-                avg_load_largest_cluster=avg_load_largest_cluster(requests, k, n_servers),
+                avg_load_largest_cluster=load,
             )
         )
     return rows

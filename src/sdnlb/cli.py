@@ -93,7 +93,7 @@ def _scenario(topology, args):
     pools = build_pools(model, topology.features)
     if args.state == "single-server":
         if not args.target:
-            raise SystemExit("--state single-server requires --target <server-id>")
+            raise ValueError("--state single-server requires --target <server-id>")
         state = SingleServerBurst(args.target, args.requests)
     elif args.state == "big-cluster":
         state = BigClusterRR(args.requests)
@@ -105,7 +105,7 @@ def _scenario(topology, args):
 def cmd_experiment(args) -> int:
     topology = _load(args.topology)
     report = run_experiment(_scenario(topology, args))
-    _emit(report_csv(report, user_entity=topology.user_host_id), args.out)
+    _emit(report_csv(report), args.out)
     return 0
 
 
@@ -117,7 +117,7 @@ def cmd_serve(args) -> int:
 def _clusters_csv(models: dict, server_ids: tuple[str, ...]) -> str:
     lines = ["method,cluster,mean_hops,mean_delay_ms,size,members"]
     for method, model in models.items():
-        for index in model.priority_order:
+        for index in range(model.n_clusters):
             members = [
                 sid for sid, c in zip(server_ids, model.assignment) if c == index
             ]
@@ -144,16 +144,16 @@ def cmd_paper_repro(args) -> int:
     # clustering (both methods, k = 3)
     models = {}
     for method in METHODS:
-        models[method] = _model(topology, 3, method, args.seed)
+        models[method] = _model(topology, 3, method, 0)
     features = topology.features
     (out_dir / "clusters.csv").write_text(_clusters_csv(models, features.server_ids))
 
     km_model = models["kmeans"]
-    ordered = [km_model.centroids[c] for c in km_model.priority_order]
-    check("kmeans centroid hops are 1,2,3", [c[0] for c in ordered] == [1.0, 2.0, 3.0])
+    centroids = km_model.centroids  # numbered nearest first
+    check("kmeans centroid hops are 1,2,3", [c[0] for c in centroids] == [1.0, 2.0, 3.0])
     check(
         "kmeans centroid delays are 12,22,30.33 (±0.01)",
-        all(abs(c[1] - want) <= 0.01 for c, want in zip(ordered, (12.0, 22.0, 30.33))),
+        all(abs(c[1] - want) <= 0.01 for c, want in zip(centroids, (12.0, 22.0, 30.33))),
     )
     levels = {}
     for sid, cluster in zip(features.server_ids, km_model.assignment):
@@ -195,17 +195,15 @@ def cmd_paper_repro(args) -> int:
     )
 
     comparison = compare_reports(reports)
-    by_hops = {km_model.centroids[c][0]: c for c in km_model.priority_order}
     clustered_bytes = comparison.bytes_by_cluster("clustered")
     check(
         "nearest cluster moves at least as many bytes as farther ones",
-        clustered_bytes[by_hops[1.0]] >= clustered_bytes[by_hops[2.0]] - 1e-9
-        and clustered_bytes[by_hops[2.0]] >= clustered_bytes[by_hops[3.0]] - 1e-9,
+        clustered_bytes[0] >= clustered_bytes[1] - 1e-9 and clustered_bytes[1] >= clustered_bytes[2] - 1e-9,
     )
 
     lines = ["state,entity,kind,requests,bytes_mb,bandwidth_mbps,cluster"]
     for report in reports:
-        body = report_csv(report, user_entity=topology.user_host_id).splitlines()[1:]
+        body = report_csv(report).splitlines()[1:]
         lines.extend(f"{report.label},{row}" for row in body)
     (out_dir / "experiments.csv").write_text("\n".join(lines) + "\n")
 
@@ -217,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sdnlb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_default=3):
+    def common(p):
         p.add_argument("--topology", help="topology document (JSON); defaults to the bundled 4-level topology")
-        p.add_argument("--k", type=int, default=k_default)
+        p.add_argument("--k", type=int, default=3)
         p.add_argument("--method", choices=METHODS, default="kmeans")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (default: stdout)")
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=cmd_serve)
 
     p_repro = sub.add_parser("paper-repro", help="regenerate all reference results")
-    p_repro.add_argument("--seed", type=int, default=0)
     p_repro.add_argument("--out", default="paper-repro")
     p_repro.set_defaults(fn=cmd_paper_repro)
 

@@ -54,7 +54,7 @@ class ClusterModel:
     centroids: tuple[tuple[float, float], ...]
     sse: float
     priority_order: tuple[int, ...]
-    sse_trace: tuple[float, ...] = ()
+    sse_trace: tuple[float, ...]
 
     @property
     def n_clusters(self) -> int:

@@ -160,6 +160,9 @@ class LoadBalancerService:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "sdnlb/0.1"
+    # a request line without a version, or one refused before its version is
+    # read, is answered as HTTP/1.0, so every reply has a status line
+    default_request_version = "HTTP/1.0"
 
     @property
     def service(self) -> LoadBalancerService:

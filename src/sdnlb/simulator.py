@@ -91,6 +91,7 @@ class ExperimentReport:
     per_server_requests: dict[str, int]
     per_server_bytes: dict[str, float]
     per_server_bandwidth_mbps: dict[str, float]
+    user_host_id: str
     user_total_bytes: float
     user_bandwidth_mbps: float
     server_cluster: dict[str, int]
@@ -272,14 +273,15 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
         per_server_requests=counts,
         per_server_bytes=bytes_mb,
         per_server_bandwidth_mbps=bandwidth,
+        user_host_id=topology.user_host_id,
         user_total_bytes=float(sum(bytes_mb.values())),
         user_bandwidth_mbps=float(sum(bandwidth.values())),
         server_cluster=server_cluster,
     )
 
 
-def report_csv(report: ExperimentReport, user_entity: str = "user") -> str:
-    """Fixed-format report: one row per server plus a user row."""
+def report_csv(report: ExperimentReport) -> str:
+    """Fixed-format report: one row per server plus a row for the user host."""
     lines = ["entity,kind,requests,bytes_mb,bandwidth_mbps,cluster"]
     for server in sorted(report.per_server_requests, key=natural_key):
         lines.append(
@@ -290,7 +292,7 @@ def report_csv(report: ExperimentReport, user_entity: str = "user") -> str:
         )
     total_requests = sum(report.per_server_requests.values())
     lines.append(
-        f"{user_entity},user,{total_requests},"
+        f"{report.user_host_id},user,{total_requests},"
         f"{report.user_total_bytes:.4f},{report.user_bandwidth_mbps:.4f},"
     )
     return "\n".join(lines) + "\n"

@@ -24,6 +24,9 @@ from types import MappingProxyType
 import numpy as np
 
 _INF_HOPS = 10**9
+# Longest link delay accepted (about 11.6 days): path delays and their
+# squares in the clustering stay finite for any network that fits in memory.
+MAX_DELAY_MS = 1e9
 NATURAL_KEY_CACHE_SIZE = 4096
 
 
@@ -78,8 +81,8 @@ class Link:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError(f"link endpoints must differ (got '{self.a}' twice)")
-        if not (math.isfinite(self.delay_ms) and self.delay_ms >= 0):
-            raise TopologyError(f"link {self.a}-{self.b}: delay_ms must be finite and >= 0")
+        if not 0 <= self.delay_ms <= MAX_DELAY_MS:  # NaN fails both comparisons
+            raise TopologyError(f"link {self.a}-{self.b}: delay_ms must be within [0, {MAX_DELAY_MS:g}]")
         if not (math.isfinite(self.capacity_mbps) and self.capacity_mbps > 0):
             raise TopologyError(f"link {self.a}-{self.b}: capacity_mbps must be finite and > 0")
         if natural_key(self.b) < natural_key(self.a):
@@ -227,12 +230,9 @@ class Topology:
 
     @cached_property
     def paths(self) -> PathMatrix:
-        """Shortest paths over the switch graph (see all_pairs_shortest_paths).
-        Every caller shares this one result, so its arrays are read-only."""
-        paths = all_pairs_shortest_paths(self)
-        for array in (paths.hops, paths.delay_ms, paths.next_hop):
-            array.flags.writeable = False
-        return paths
+        """Shortest paths over the switch graph (see all_pairs_shortest_paths),
+        shared by every caller."""
+        return all_pairs_shortest_paths(self)
 
     @cached_property
     def features(self) -> FeatureSet:
@@ -378,7 +378,7 @@ class PathMatrix:
     hops: np.ndarray
     delay_ms: np.ndarray
     next_hop: np.ndarray
-    index: Mapping[str, int] = field(repr=False, default_factory=dict)
+    index: Mapping[str, int] = field(repr=False)
 
     def hops_between(self, a: str, b: str) -> int:
         return int(self.hops[self.index[a], self.index[b]])
@@ -406,7 +406,8 @@ def all_pairs_shortest_paths(topology: Topology) -> PathMatrix:
     Ties on hop count prefer the smaller accumulated delay; remaining ties
     keep the path routed through the earliest switch in natural id order
     (intermediate switches are tried in that order), so the result is a
-    total, deterministic choice.
+    total, deterministic choice. Topology validation makes the switch graph
+    connected, so every pair has a path. The arrays are read-only.
     """
     ids = topology.switch_ids
     n = len(ids)
@@ -434,9 +435,8 @@ def all_pairs_shortest_paths(topology: Topology) -> PathMatrix:
         delay = np.where(better, alt_delay, delay)
         next_hop = np.where(better, next_hop[:, m][:, None], next_hop)
 
-    if n and hops.max() >= _INF_HOPS:
-        raise TopologyError("switch graph is disconnected")
-
+    for array in (hops, delay, next_hop):
+        array.flags.writeable = False
     return PathMatrix(switch_ids=ids, hops=hops, delay_ms=delay, next_hop=next_hop, index=index)
 
 

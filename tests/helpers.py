@@ -296,7 +296,7 @@ def _first_entry_cases(section: str, key: str, values: dict, names: str) -> dict
 # documents every entry point must refuse with a named error, never a crash.
 _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 BAD_TOPOLOGY_DOCUMENTS = {
-    **_link_cases("delay_ms", {**_NON_FINITE, "text": "abc", "null": None, "bool": True}),
+    **_link_cases("delay_ms", {**_NON_FINITE, "text": "abc", "null": None, "bool": True, "huge": 1e200}),
     **_link_cases("capacity_mbps", {**_NON_FINITE, "text": "100", "bool": False, "huge": 10**400}),
     **{
         f"{key}-{name}": (_paper_document_with(key, value, False), f"'{key}' must be a list")

@@ -78,11 +78,13 @@ class TestPaperRepro:
         for name, digest in PAPER_REPRO_SHA256.items():
             assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == digest, name
 
-    def test_seed_does_not_change_clusters(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["paper-repro", "--seed", "1", "--out", str(out1)]) == 0
-        assert main(["paper-repro", "--seed", "2", "--out", str(out2)]) == 0
-        assert (out1 / "clusters.csv").read_bytes() == (out2 / "clusters.csv").read_bytes()
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # the reference run clusters with seed 0; seed independence is checked
+        # by the acceptance suite and test_paper_partition_ignores_seed
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-repro", "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -174,9 +176,11 @@ class TestExperiment:
         assert captured.err.startswith("error: ")
         assert "total_requests must be >= 0" in captured.err
 
-    def test_single_server_requires_target(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "--state", "single-server"])
+    def test_single_server_requires_target(self, capsys):
+        assert main(["experiment", "--state", "single-server"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --state single-server requires --target <server-id>\n"
 
     def test_invalid_topology_file_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

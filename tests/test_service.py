@@ -452,6 +452,22 @@ def test_stdlib_error_replies_are_json(live_server, request_line, status, detail
     assert json.loads(body) == {"error": status.split(" ", 1)[1].lower(), "detail": detail}
 
 
+@pytest.mark.parametrize(
+    "request_line,status,body",
+    [
+        ("GET /stats HTTP/9.9", "505 HTTP Version Not Supported",
+         {"error": "http version not supported", "detail": "Invalid HTTP version (9.9)"}),
+        ("GET /nope", "404 Not Found", {"error": "not found", "detail": "/nope"}),
+    ],
+)
+def test_reply_without_a_usable_version_has_a_status_line(live_server, request_line, status, body):
+    base, _ = live_server
+    got_status, headers, got_body = raw_exchange(base, request_line.encode() + b"\r\n\r\n")
+    assert got_status == f"HTTP/1.0 {status}"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(got_body) == body
+
+
 def test_head_error_reply_has_no_body(live_server):
     base, _ = live_server
     status, headers, body = raw_exchange(base, b"HEAD /stats HTTP/1.0\r\n\r\n")

@@ -307,11 +307,18 @@ class TestRunExperiment:
     def test_report_csv_format(self, paper):
         topo, pools = paper
         report = run_experiment(Scenario(topo, pools, ClusteredRR(10)))
-        lines = report_csv(report, user_entity="h1").splitlines()
+        lines = report_csv(report).splitlines()
         assert lines[0] == "entity,kind,requests,bytes_mb,bandwidth_mbps,cluster"
         assert len(lines) == 11  # 9 servers + user
         assert lines[1].startswith("h2,server,")
         assert lines[-1].startswith("h1,user,30,")
+
+    def test_report_names_the_topology_user_host(self):
+        topo = chain_topology(3)  # its user host is u1
+        pools = build_pools(kmeans_cluster(topo.features, ClusteringConfig(k=1)), topo.features)
+        report = run_experiment(Scenario(topo, pools, BigClusterRR(4)))
+        assert report.user_host_id == "u1"
+        assert report_csv(report).splitlines()[-1].startswith("u1,user,4,")
 
 
 class TestCompareReports:

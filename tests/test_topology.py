@@ -176,6 +176,12 @@ class TestAllPairsShortestPaths:
                 )
                 assert total == pytest.approx(paths.delay_between(a, b), abs=1e-9)
 
+    def test_arrays_are_read_only(self):
+        paths = all_pairs_shortest_paths(random_connected_topology(5))
+        for array in (paths.hops, paths.delay_ms, paths.next_hop):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
     def test_deterministic_tie_break_prefers_early_switch(self, paper):
         topo, paths = paper
         # both level-2 switches reach s4 at equal cost; the earlier id wins
