@@ -8,7 +8,6 @@ to one request.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,9 +132,17 @@ def dispatch_sequence(pools: PoolSet, total_requests: int, split: Split) -> list
 def distribute_requests(pools: PoolSet, total_requests: int, split: Split) -> dict[str, int]:
     """Per-server request counts for the split, zero-filled in natural server
     order: the simulator's one source of counts. An equal split over no pools,
-    an unknown target or a negative count raises AllocationError."""
+    an unknown target or a negative count raises AllocationError. Counts and
+    cursors are dispatch_sequence's in closed form: a share s over m members
+    gives the one at offset i from the cursor s // m, plus one if i < s % m."""
     counts = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
-    counts.update(Counter(dispatch_sequence(pools, total_requests, split)))
+    for pool, share in _shares(pools, total_requests, split):
+        size = len(pool.members)
+        base, extra = divmod(share, size)
+        rotated = pool.members[pool.cursor:] + pool.members[: pool.cursor]
+        for offset, server in enumerate(rotated):
+            counts[server] += base + (offset < extra)
+        pool.cursor = (pool.cursor + share) % size
     return counts
 
 

@@ -163,6 +163,9 @@ class _Handler(BaseHTTPRequestHandler):
     # a request line without a version, or one refused before its version is
     # read, is answered as HTTP/1.0, so every reply has a status line
     default_request_version = "HTTP/1.0"
+    # seconds a socket read or write may stall: a client that never ends its
+    # request cannot hold a handler thread for longer
+    timeout = 30.0
 
     @property
     def service(self) -> LoadBalancerService:
@@ -199,7 +202,10 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "body too large", f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raise ServiceError(408, "request timeout", f"the body did not arrive within {self.timeout:g} s") from None
         try:
             return json.loads(raw) if raw else {}
         except json.JSONDecodeError as exc:

@@ -3,16 +3,18 @@
 Requests become concurrent flows held open for the whole window; per-flow
 rates come from progressive-filling max-min fairness over the switch links,
 with each flow additionally capped at window_bytes * 8 / rtt (so nearer
-clusters can push more per flow). The flows sent to one server share a path
-and a cap, so the filling runs over those per-server flow classes, weighted
-by how many flows each holds, and its cost does not grow with the request
-count. Bytes are rate * duration. This is a declared model of TCP behaviour,
-not an emulation of it.
+clusters can push more per flow). The flows sent to one switch share a route
+and a cap, so they form one class, weighted by its request count, and the
+filling runs over those classes. Request counts come in closed form from the
+allocator, so the cost of an experiment grows with the servers and links,
+not with the number of requests. Bytes are rate * duration. This is a
+declared model of TCP behaviour, not an emulation of it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,31 +117,50 @@ def max_min_fair_rates(
     """Progressive-filling max-min fair rates (Mbps) for concurrent flows.
 
     Flows with the same path and RTT form one class of multiplicity m: the
-    max-min fair allocation is unique, so they get equal rates and the
-    filling runs over classes, not flows. All unfrozen classes rise together;
-    at each step either a link saturates (its level is the spare capacity
-    over the multiplicity of its live classes, and those classes freeze at
-    that level) or a class hits its window/RTT cap. A frozen class adds
-    m * rate to the load of each of its links. Links are visited in id order,
-    so ties resolve deterministically. The cost grows with the classes and
-    their path lengths, not with the number of flows (Bertsekas & Gallager,
-    Data Networks, section 6.5.2).
+    max-min fair allocation is unique, so they get equal rates. The flows
+    are grouped into classes in (path, rtt) order, so the rates do not
+    depend on the order of the flows, and each flow gets its class's rate
+    (see _fill_classes).
     """
     if not flows:
         return np.zeros(0)
-
-    capacity: dict[tuple[str, str], float] = {l.key: l.capacity_mbps for l in topology.links}
     first: dict[tuple[tuple[str, ...], float], Flow] = {}
     for flow in flows:
         first.setdefault((flow.path, flow.rtt_ms), flow)
-    # classes in (path, rtt) order, so the rates do not depend on the order
-    # of the flows
     signatures = sorted(first)
     index = {signature: c for c, signature in enumerate(signatures)}
     flow_class = [index[flow.path, flow.rtt_ms] for flow in flows]
-    class_links = [_link_keys(first[signature], capacity) for signature in signatures]
-    caps = [window_rate_cap_mbps(rtt_window_bytes, rtt) for _, rtt in signatures]
-    mult = np.bincount(flow_class, minlength=len(caps)).tolist()
+    mult = np.bincount(flow_class, minlength=len(signatures)).tolist()
+    capacity = topology.capacity
+    classes = [(_link_keys(first[signature], capacity), signature[1], m) for signature, m in zip(signatures, mult)]
+    rates, _ = _fill_classes(classes, capacity, rtt_window_bytes)
+    return np.array(rates)[flow_class]
+
+
+# a flow class: the link keys of its path, its rtt_ms and how many flows it holds
+FlowClass = tuple[tuple[tuple[str, str], ...], float, int]
+
+
+def _fill_classes(
+    classes: list[FlowClass],
+    capacity: Mapping[tuple[str, str], float],
+    rtt_window_bytes: float,
+) -> tuple[list[float], int]:
+    """Progressive filling over flow classes; returns the rate of one flow
+    of each class and the number of filling rounds.
+
+    All unfrozen classes rise together; at each round either a link
+    saturates (its level is the spare capacity over the multiplicity of its
+    live classes, and those classes freeze at that level) or a class hits
+    its window/RTT cap. A frozen class adds m * rate to the load of each of
+    its links. Links are visited in id order, so ties resolve
+    deterministically. The cost grows with the classes and their path
+    lengths, not with the number of flows (Bertsekas & Gallager, Data
+    Networks, section 6.5.2).
+    """
+    class_links = [keys for keys, _, _ in classes]
+    caps = [window_rate_cap_mbps(rtt_window_bytes, rtt) for _, rtt, _ in classes]
+    mult = [m for _, _, m in classes]
 
     links = sorted({key for keys in class_links for key in keys})
     members: dict[tuple[str, str], list[int]] = {key: [] for key in links}
@@ -159,7 +180,7 @@ def max_min_fair_rates(
             frozen_load[key] += mult[c] * rate
             live_weight[key] -= mult[c]
 
-    for _ in range(len(caps) + 1):  # each round freezes at least one class
+    for rounds in range(len(caps) + 1):  # each round freezes at least one class
         if not any(active):
             break
         link_levels = {
@@ -184,10 +205,10 @@ def max_min_fair_rates(
         raise SimulationError(f"progressive filling left classes unfrozen after {len(caps) + 1} rounds")
 
     _check_conservation([m * r for m, r in zip(mult, rates)], class_links, capacity)
-    return np.array(rates)[flow_class]
+    return rates, rounds
 
 
-def _link_keys(flow: Flow, capacity: dict[tuple[str, str], float]) -> list[tuple[str, str]]:
+def _link_keys(flow: Flow, capacity: Mapping[tuple[str, str], float]) -> tuple[tuple[str, str], ...]:
     """The link key of each hop of the flow's path, found in either
     orientation (a key holds its endpoints in natural order)."""
     keys = []
@@ -197,7 +218,7 @@ def _link_keys(flow: Flow, capacity: dict[tuple[str, str], float]) -> list[tuple
             a, b = sorted((a, b), key=natural_key)
             raise SimulationError(f"flow {flow.src}->{flow.dst}: no link {a}-{b}")
         keys.append(key)
-    return keys
+    return tuple(keys)
 
 
 def _check_conservation(class_loads, class_links, capacity) -> None:
@@ -252,15 +273,24 @@ def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -
 
 def run_experiment(scenario: Scenario) -> ExperimentReport:
     """Dispatch the scenario's requests, solve fair-share rates, and report
-    per-server requests, transferred megabytes, and bandwidth."""
+    per-server requests, transferred megabytes, and bandwidth: one flow
+    class per loaded switch, and count * class rate per server."""
     topology = scenario.topology
     counts = _request_counts(scenario)
-    flows = build_flows(topology, counts, topology.paths)
-    rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
+    routes = topology.routes
+    switch_of = {server: topology.attached_switch(server) for server, count in counts.items() if count}
+    load: dict[str, int] = {}
+    for server, switch in switch_of.items():
+        load[switch] = load.get(switch, 0) + counts[server]
+    # each switch has one route, so (path, rtt) order is path order
+    switches = sorted(load, key=lambda switch: routes[switch].path)
+    classes = [(routes[s].links, 2.0 * routes[s].delay_ms, load[s]) for s in switches]
+    rates, _ = _fill_classes(classes, topology.capacity, scenario.rtt_window_bytes)
+    rate = dict(zip(switches, rates))
 
     bandwidth = dict.fromkeys(counts, 0.0)  # counts are in natural order
-    for flow, rate in zip(flows, rates.tolist()):
-        bandwidth[flow.dst] += rate
+    for server, switch in switch_of.items():
+        bandwidth[server] = counts[server] * rate[switch]
     bytes_mb = {s: bw * scenario.duration_s / 8.0 for s, bw in bandwidth.items()}
 
     server_cluster = {

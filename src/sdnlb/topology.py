@@ -4,8 +4,9 @@ A topology is an undirected graph of switches plus host nodes (one user host
 and any number of server hosts), each host hanging off exactly one switch.
 Shortest paths are computed over the switch graph only, minimizing hop count
 with accumulated delay as the tie-break; hosts are collapsed onto their
-attached switch. A Topology is immutable, so it computes its paths, features
-and fingerprint once, on first use, and every caller shares them.
+attached switch. A Topology is immutable, so it computes its paths, routes,
+link capacities, features and fingerprint once, on first use, and every
+caller shares them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +95,15 @@ class Link:
     @property
     def key(self) -> tuple[str, str]:
         return (self.a, self.b)
+
+
+class Route(NamedTuple):
+    """A shortest path from the user switch: its switches, the key of the
+    link under each hop, and its delay."""
+
+    path: tuple[str, ...]
+    links: tuple[tuple[str, str], ...]
+    delay_ms: float
 
 
 @dataclass(frozen=True)
@@ -233,6 +244,23 @@ class Topology:
         """Shortest paths over the switch graph (see all_pairs_shortest_paths),
         shared by every caller."""
         return all_pairs_shortest_paths(self)
+
+    @cached_property
+    def capacity(self) -> Mapping[tuple[str, str], float]:
+        """Capacity (Mbps) of every link, by link key (read-only)."""
+        return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
+
+    @cached_property
+    def routes(self) -> Mapping[str, Route]:
+        """The route from user_switch to every switch, read off the shared
+        paths, so ties resolve as in PathMatrix.path (read-only)."""
+        paths, capacity = self.paths, self.capacity
+        routes = {}
+        for switch in self.switch_ids:
+            path = paths.path(self.user_switch, switch)
+            links = tuple((a, b) if (a, b) in capacity else (b, a) for a, b in zip(path, path[1:]))
+            routes[switch] = Route(path, links, paths.delay_between(self.user_switch, switch))
+        return MappingProxyType(routes)
 
     @cached_property
     def features(self) -> FeatureSet:

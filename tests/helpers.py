@@ -7,6 +7,7 @@ import math
 import random
 import sys
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from sdnlb.simulator import (
     Flow,
     SimulationError,
     SingleServerBurst,
+    build_flows,
+    max_min_fair_rates,
     window_rate_cap_mbps,
 )
 from sdnlb.topology import (
@@ -217,6 +220,21 @@ def per_flow_max_min_rates(
     return rates
 
 
+def per_flow_experiment(scenario) -> tuple[dict[str, int], dict[str, float]]:
+    """Per-server counts and bandwidth of a scenario the long way round:
+    counts from the states' definition, one Flow per request (build_flows)
+    along the Floyd-Warshall paths, a rate per flow (max_min_fair_rates),
+    summed per server."""
+    topology = scenario.topology
+    counts = request_counts_oracle(scenario.pools, scenario.state)
+    flows = build_flows(topology, counts, all_pairs_shortest_paths(topology))
+    rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
+    bandwidth = dict.fromkeys(counts, 0.0)
+    for flow, rate in zip(flows, rates.tolist()):
+        bandwidth[flow.dst] += rate
+    return counts, bandwidth
+
+
 def random_pool_set(seed: int) -> PoolSet:
     """1-4 pools of 1-6 distinct servers each, members and pools in random
     (not natural) order, every cursor at a random member."""
@@ -252,20 +270,40 @@ def request_counts_oracle(pools: PoolSet, state) -> dict[str, int]:
     return counts
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Count calls to module.<name> wherever an sdnlb module holds it; the
-    returned list grows by one per call."""
-    original = getattr(module, name)
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count calls to owner.<name>: a method on its class, a function
+    wherever an sdnlb module holds it; the returned list grows by one per
+    call."""
+    original = getattr(owner, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
+        return calls
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "sdnlb" and vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def count_builds(monkeypatch, cls, name: str) -> list:
+    """Count the builds of the cached property cls.<name>; the returned list
+    grows by one (the instance) per build."""
+    original = vars(cls)[name].func
+    builds = []
+
+    def build(self):
+        builds.append(self)
+        return original(self)
+
+    prop = cached_property(build)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return builds
 
 
 def _paper_document_with(key: str, value, on_link: bool) -> dict:

@@ -174,13 +174,16 @@ class TestDistributeRequests:
             *(SingleCluster(p.cluster_index) for p in pools.pools),
             *(SingleServer(s) for s in pools.all_servers()),
         ]
-        split = data.draw(st.sampled_from(splits))
-        counted, sequenced = pools.copy(), pools.copy()
-        counts = distribute_requests(counted, n, split)
-        want = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
-        want.update(Counter(dispatch_sequence(sequenced, n, split)))
-        assert list(counts.items()) == list(want.items())
-        assert [p.cursor for p in counted.pools] == [p.cursor for p in sequenced.pools]
+        assert_counts_are_the_counted_sequence(pools, n, data.draw(st.sampled_from(splits)))
+
+    @pytest.mark.parametrize(
+        "split", [EqualPerCluster(), SingleCluster(0), SingleServer("v5")], ids=lambda split: type(split).__name__
+    )
+    def test_counts_are_the_counted_sequence_at_a_million(self, split):
+        pools = random_pool_set(9)  # 4 pools of 2-5 servers, no cursor at zero
+        assert [len(p.members) for p in pools.pools] == [2, 3, 5, 3]
+        assert all(p.cursor for p in pools.pools)
+        assert_counts_are_the_counted_sequence(pools, 10**6 + 3, split)
 
     @pytest.mark.parametrize("dispatch", [dispatch_sequence, distribute_requests])
     def test_equal_split_over_no_pools_is_named(self, dispatch):
@@ -191,6 +194,15 @@ class TestDistributeRequests:
     def test_negative_count_is_named(self, split):
         with pytest.raises(AllocationError, match="total_requests must be >= 0"):
             distribute_requests(simple_pools(["a", "b"]), -1, split)
+
+
+def assert_counts_are_the_counted_sequence(pools: PoolSet, n: int, split) -> None:
+    counted, sequenced = pools.copy(), pools.copy()
+    counts = distribute_requests(counted, n, split)
+    want = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
+    want.update(Counter(dispatch_sequence(sequenced, n, split)))
+    assert list(counts.items()) == list(want.items())
+    assert [p.cursor for p in counted.pools] == [p.cursor for p in sequenced.pools]
 
 
 PRINTED_ROW_AVG_SERVERS = ["9", "4.5", "3", "2.25", "1.8", "1.5", "1.28", "1.125", "1"]

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdnlb
-from sdnlb.service import LoadBalancerService, ServiceError, make_server
+from sdnlb.service import LoadBalancerService, ServiceError, _Handler, make_server
 from sdnlb.topology import build_paper_topology
 
 from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
@@ -474,6 +475,28 @@ def test_head_error_reply_has_no_body(live_server):
     assert status == "HTTP/1.0 501 Not Implemented"
     assert headers["Content-Type"] == "application/json"
     assert body == b""
+
+
+@pytest.mark.parametrize(
+    "request_bytes,status,body",
+    [
+        (b"GET /stats\r\n", "", b""),  # the headers never end: closed unanswered
+        (
+            b"PUT /topology HTTP/1.0\r\nContent-Length: 10\r\n\r\n{",
+            "HTTP/1.0 408 Request Timeout",
+            b'{"error": "request timeout", "detail": "the body did not arrive within 0.2 s"}',
+        ),
+    ],
+    ids=["unended-headers", "stalled-body"],
+)
+def test_stalled_request_is_dropped_after_the_timeout(live_server, monkeypatch, request_bytes, status, body):
+    assert 0 < _Handler.timeout <= 60  # every connection has one, not only this test's
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    base, _ = live_server
+    start = time.monotonic()
+    got_status, _, got_body = raw_exchange(base, request_bytes)  # its own read times out after 5 s
+    assert time.monotonic() - start < 3
+    assert (got_status, got_body) == (status, body)
 
 
 def test_serve_prints_listening_line_through_a_pipe():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import sdnlb.simulator
 import sdnlb.topology
 
-from sdnlb.allocator import PoolSet, build_pools
-from sdnlb.clustering import ClusteringConfig, kmeans_cluster
+from sdnlb.allocator import Pool, PoolSet, build_pools
+from sdnlb.clustering import ClusteringConfig, kmeans_cluster, spectral_cluster
 from sdnlb.simulator import (
     BigClusterRR,
     ClusteredRR,
@@ -25,6 +25,8 @@ from sdnlb.simulator import (
     window_rate_cap_mbps,
 )
 from sdnlb.topology import (
+    PathMatrix,
+    Topology,
     all_pairs_shortest_paths,
     build_paper_topology,
     load_topology,
@@ -32,9 +34,12 @@ from sdnlb.topology import (
 )
 
 from helpers import (
+    count_builds,
     count_calls,
     is_max_min_fair,
+    per_flow_experiment,
     per_flow_max_min_rates,
+    random_connected_topology,
     random_flow_instance,
     random_pool_set,
     request_counts_oracle,
@@ -179,20 +184,20 @@ class TestMaxMinFairRates:
         assert permuted.tolist() == [rates[j] for j in order]
 
     def test_solve_cost_does_not_grow_with_request_count(self, paper, monkeypatch):
-        # the flows to one server form one class: ten times the requests
-        # must not mean ten times the link-key work inside the solve
+        # the flows to one switch form one class: ten times the requests
+        # must not mean ten times the link-key work inside the filling
         topo, pools = paper
         calls = count_calls(monkeypatch, sdnlb.topology, "natural_key")
-        solve = sdnlb.simulator.max_min_fair_rates
+        fill = sdnlb.simulator._fill_classes
         inside = []
 
-        def counted_solve(*args, **kwargs):
+        def counted_fill(*args, **kwargs):
             before = len(calls)
-            rates = solve(*args, **kwargs)
+            result = fill(*args, **kwargs)
             inside.append(len(calls) - before)
-            return rates
+            return result
 
-        monkeypatch.setattr(sdnlb.simulator, "max_min_fair_rates", counted_solve)
+        monkeypatch.setattr(sdnlb.simulator, "_fill_classes", counted_fill)
         for requests in (1000, 10000):
             run_experiment(Scenario(topo, pools, BigClusterRR(requests)))
         assert len(inside) == 2
@@ -253,8 +258,9 @@ class TestRunExperiment:
         assert [p.cursor for p in pools.pools] == cursors
 
     def test_experiments_share_one_path_matrix_and_fingerprint(self, monkeypatch):
-        # three states on one Topology: Floyd-Warshall and the document hash
-        # run once, on first use, and every later experiment reuses them
+        # three states on one Topology: Floyd-Warshall, the routes, the
+        # capacity table and the document hash are built once, on first use,
+        # and every later experiment reuses them
         import hashlib
         from types import SimpleNamespace
 
@@ -264,6 +270,8 @@ class TestRunExperiment:
         features = server_features(topo, all_pairs_shortest_paths(topo))
         pools = build_pools(kmeans_cluster(features, ClusteringConfig(k=3)), features)
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        route_builds = count_builds(monkeypatch, Topology, "routes")
+        capacity_builds = count_builds(monkeypatch, Topology, "capacity")
         hashes = []
 
         def sha256(payload):
@@ -278,6 +286,44 @@ class TestRunExperiment:
         compare_reports(reports)
         assert len(paths_calls) == 1
         assert len(hashes) == 1
+        assert route_builds == capacity_builds == [topo]
+
+    @pytest.mark.parametrize(
+        "state_of, pools_served",
+        [(lambda n: SingleServerBurst("h3", n), 1), (BigClusterRR, 1), (ClusteredRR, 3)],
+        ids=["single-server", "big-cluster", "clustered"],
+    )
+    def test_cost_does_not_grow_with_request_count(self, paper, monkeypatch, state_of, pools_served):
+        # a million requests cost what a thousand do: no request is taken
+        # from a pool one by one, no flow is built, no path is walked again,
+        # and the filling takes as many rounds
+        topo, pools = paper
+        run_experiment(Scenario(topo, pools, state_of(1)))  # the first experiment builds the routes
+        takes = count_calls(monkeypatch, Pool, "take")
+        walks = count_calls(monkeypatch, PathMatrix, "path")
+        flows = count_calls(monkeypatch, sdnlb.simulator, "build_flows")
+        fill = sdnlb.simulator._fill_classes
+        rounds = []
+
+        def counted_fill(*args, **kwargs):
+            rates, n = fill(*args, **kwargs)
+            rounds.append(n)
+            return rates, n
+
+        monkeypatch.setattr(sdnlb.simulator, "_fill_classes", counted_fill)
+        for requests in (10**3, 10**6):
+            report = run_experiment(Scenario(topo, pools, state_of(requests)))
+            assert sum(report.per_server_requests.values()) == requests * pools_served
+        assert takes == walks == flows == []
+        assert len(rounds) == 2 and rounds[0] == rounds[1] > 0
+
+    def test_routes_and_capacity_wait_for_the_first_experiment(self):
+        topo = load_topology(build_paper_topology().document())
+        pools = build_pools(kmeans_cluster(topo.features, ClusteringConfig(k=3)), topo.features)
+        spectral_cluster(topo, ClusteringConfig(k=3))
+        assert not {"routes", "capacity"} & vars(topo).keys()
+        run_experiment(Scenario(topo, pools, BigClusterRR(30)))
+        assert {"routes", "capacity"} <= vars(topo).keys()
 
     def test_identical_scenarios_give_identical_reports(self, paper):
         topo, pools = paper
@@ -319,6 +365,38 @@ class TestRunExperiment:
         report = run_experiment(Scenario(topo, pools, BigClusterRR(4)))
         assert report.user_host_id == "u1"
         assert report_csv(report).splitlines()[-1].startswith("u1,user,4,")
+
+
+class TestClassPathEqualsPerFlowPath:
+    @pytest.mark.parametrize("unit_delays", [False, True])
+    def test_reports_match_the_per_flow_path(self, unit_delays):
+        # one class per loaded switch gives the report of one flow per
+        # request, including the error when a class has no constraint (a
+        # server on the user switch: no switch link and rtt 0)
+        outcomes = []
+        for seed in range(25):
+            topo = random_connected_topology(seed, max_switches=10, max_servers=6, unit_delays=unit_delays)
+            window = (8192.0, 65536.0, 262144.0)[seed % 3]
+            target = topo.server_ids[seed % topo.n_servers]
+            for k in range(1, min(4, topo.n_servers) + 1):
+                pools = build_pools(kmeans_cluster(topo.features, ClusteringConfig(k=k)), topo.features)
+                for state in (SingleServerBurst(target, 97), BigClusterRR(101), ClusteredRR(34)):
+                    scenario = Scenario(topo, pools, state, rtt_window_bytes=window)
+                    try:
+                        counts, bandwidth = per_flow_experiment(scenario)
+                    except SimulationError as exc:
+                        with pytest.raises(SimulationError) as raised:
+                            run_experiment(scenario)
+                        assert str(raised.value) == str(exc)
+                        outcomes.append("error")
+                        continue
+                    report = run_experiment(scenario)
+                    assert list(report.per_server_requests.items()) == list(counts.items())
+                    assert report.per_server_bandwidth_mbps == pytest.approx(bandwidth, rel=1e-12, abs=0)
+                    bytes_mb = {s: bw * scenario.duration_s / 8.0 for s, bw in bandwidth.items()}
+                    assert report.per_server_bytes == pytest.approx(bytes_mb, rel=1e-12, abs=0)
+                    outcomes.append("report")
+        assert {"error", "report"} <= set(outcomes)
 
 
 class TestCompareReports:
