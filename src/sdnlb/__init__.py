@@ -17,6 +17,7 @@ from .allocator import (
     SingleCluster,
     SingleServer,
     avg_load_largest_cluster,
+    build_plan,
     build_pools,
     dispatch_sequence,
     distribute_requests,

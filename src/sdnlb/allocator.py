@@ -1,7 +1,8 @@
 """Priority-ordered round-robin server pools and capacity/load analytics.
 
-Pools are built from a ClusterModel: one pool per cluster, ordered by
-(mean_hops, mean_delay_ms) so the nearest cluster is served first. Request
+A Plan clusters a topology's servers once and builds the rest from that
+model: one pool per cluster, ordered by (mean_hops, mean_delay_ms) so the
+nearest cluster is served first, its wire document and its export. Request
 dispatch rotates a cursor per pool, which bounds the per-server load skew
 to one request.
 """
@@ -10,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .clustering import ClusterModel
-from .topology import FeatureSet, natural_key
+from .clustering import ClusteringConfig, ClusterModel, cluster, cluster_model_document
+from .topology import FeatureSet, Topology, natural_key
 
 
 class AllocationError(ValueError):
@@ -99,6 +101,36 @@ def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
             for cluster, servers in members.items()
         ]
     )
+
+
+@dataclass(frozen=True)
+class Plan:
+    """One clustering of a topology, keyed by the requested (k, method, seed);
+    the document and the export are built on first use."""
+
+    topology: Topology
+    key: tuple[int, str, int]
+    model: ClusterModel
+
+    @cached_property
+    def document(self) -> dict:
+        """The `sdnlb cluster` document: method and seed, then the model."""
+        _, method, seed = self.key
+        return {"method": method, "seed": seed, **cluster_model_document(self.model, self.topology.features)}
+
+    @cached_property
+    def export(self) -> dict:
+        """The pool export, members labelled with their node's display name."""
+        return pool_export(self.pools(), {n.id: n.display for n in self.topology.nodes})
+
+    def pools(self) -> PoolSet:
+        """A fresh pool set, every cursor at zero."""
+        return build_pools(self.model, self.topology.features)
+
+
+def build_plan(topology: Topology, k: int, method: str, seed: int) -> Plan:
+    """Cluster the topology's servers: every plan in the package starts here."""
+    return Plan(topology, (k, method, seed), cluster(topology, ClusteringConfig(k=k, rng_seed=seed), method))
 
 
 def _shares(pools: PoolSet, total_requests: int, split: Split) -> list[tuple[Pool, int]]:

@@ -16,13 +16,8 @@ import sys
 from pathlib import Path
 
 from . import service as service_mod
-from .allocator import build_pools, table1, truncate_fraction
-from .clustering import (
-    METHODS,
-    ClusteringConfig,
-    cluster,
-    cluster_model_document,
-)
+from .allocator import build_plan, table1, truncate_fraction
+from .clustering import METHODS
 from .simulator import (
     BigClusterRR,
     ClusteredRR,
@@ -54,43 +49,30 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _model(topology, k, method, seed):
-    return cluster(topology, ClusteringConfig(k=k, rng_seed=seed), method)
-
-
 def cmd_cluster(args) -> int:
-    topology = _load(args.topology)
-    model = _model(topology, args.k, args.method, args.seed)
-    document = cluster_model_document(model, topology.features)
-    document = {"method": args.method, "seed": args.seed, **document}
-    _emit(json.dumps(document, indent=2) + "\n", args.out)
+    plan = build_plan(_load(args.topology), args.k, args.method, args.seed)
+    _emit(json.dumps(plan.document, indent=2) + "\n", args.out)
     return 0
 
 
-def _table1_csv(n: int, requests: int) -> str:
-    rows = table1(n, requests)
-    lines = ["k," + ",".join(str(r.k) for r in rows)]
-    lines.append(
-        "avg_servers_per_cluster," + ",".join(f"{float(r.avg_servers_per_cluster):.4f}" for r in rows)
-    )
-    lines.append(
-        "capacity_added_pct," + ",".join(f"{r.capacity_multiplier_pct}%" for r in rows)
-    )
-    lines.append(
-        "avg_load_largest_cluster," + ",".join(f"{float(r.avg_load_largest_cluster):.4f}" for r in rows)
-    )
+def _table1_csv(rows) -> str:
+    lines = [
+        "k," + ",".join(str(r.k) for r in rows),
+        "avg_servers_per_cluster," + ",".join(f"{float(r.avg_servers_per_cluster):.4f}" for r in rows),
+        "capacity_added_pct," + ",".join(f"{r.capacity_multiplier_pct}%" for r in rows),
+        "avg_load_largest_cluster," + ",".join(f"{float(r.avg_load_largest_cluster):.4f}" for r in rows),
+    ]
     return "\n".join(lines) + "\n"
 
 
 def cmd_table1(args) -> int:
     topology = _load(args.topology)
-    _emit(_table1_csv(topology.n_servers, args.requests), args.out)
+    _emit(_table1_csv(table1(topology.n_servers, args.requests)), args.out)
     return 0
 
 
 def _scenario(topology, args):
-    model = _model(topology, args.k, args.method, args.seed)
-    pools = build_pools(model, topology.features)
+    pools = build_plan(topology, args.k, args.method, args.seed).pools()
     if args.state == "single-server":
         if not args.target:
             raise ValueError("--state single-server requires --target <server-id>")
@@ -114,17 +96,13 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _clusters_csv(models: dict, server_ids: tuple[str, ...]) -> str:
+def _clusters_csv(plans: dict) -> str:
     lines = ["method,cluster,mean_hops,mean_delay_ms,size,members"]
-    for method, model in models.items():
-        for index in range(model.n_clusters):
-            members = [
-                sid for sid, c in zip(server_ids, model.assignment) if c == index
-            ]
-            hops, delay = model.centroids[index]
-            lines.append(
-                f"{method},{index},{hops:.4f},{delay:.4f},{len(members)},{';'.join(members)}"
-            )
+    for method, plan in plans.items():
+        for pool in plan.pools().pools:
+            hops, delay = pool.centroid
+            members = ";".join(pool.members)
+            lines.append(f"{method},{pool.cluster_index},{hops:.4f},{delay:.4f},{len(pool.members)},{members}")
     return "\n".join(lines) + "\n"
 
 
@@ -142,27 +120,24 @@ def cmd_paper_repro(args) -> int:
             failures.append(name)
 
     # clustering (both methods, k = 3)
-    models = {}
-    for method in METHODS:
-        models[method] = _model(topology, 3, method, 0)
-    features = topology.features
-    (out_dir / "clusters.csv").write_text(_clusters_csv(models, features.server_ids))
+    plans = {method: build_plan(topology, 3, method, 0) for method in METHODS}
+    (out_dir / "clusters.csv").write_text(_clusters_csv(plans))
 
-    km_model = models["kmeans"]
-    centroids = km_model.centroids  # numbered nearest first
+    centroids = plans["kmeans"].model.centroids  # numbered nearest first
     check("kmeans centroid hops are 1,2,3", [c[0] for c in centroids] == [1.0, 2.0, 3.0])
     check(
         "kmeans centroid delays are 12,22,30.33 (±0.01)",
         all(abs(c[1] - want) <= 0.01 for c, want in zip(centroids, (12.0, 22.0, 30.33))),
     )
-    levels = {}
-    for sid, cluster in zip(features.server_ids, km_model.assignment):
-        levels.setdefault(cluster, set()).add(topology.node_map[sid].level)
-    check("kmeans clusters follow topology levels", all(len(v) == 1 for v in levels.values()))
+    pools = plans["kmeans"].pools()
+    check(
+        "kmeans clusters follow topology levels",
+        all(len({topology.node_map[s].level for s in pool.members}) == 1 for pool in pools.pools),
+    )
 
     # k sweep
-    (out_dir / "table1.csv").write_text(_table1_csv(topology.n_servers, requests))
     rows = table1(topology.n_servers, requests)
+    (out_dir / "table1.csv").write_text(_table1_csv(rows))
     printed = ["3.33", "1.875", "1.428", "1.25", "1.2", "1.25", "1.428", "1.875", "3.33"]
     got = [
         truncate_fraction(r.avg_load_largest_cluster, len(p.partition(".")[2])) for r, p in zip(rows, printed)
@@ -170,7 +145,6 @@ def cmd_paper_repro(args) -> int:
     check("load sweep matches the printed reference row", got == printed)
 
     # workload states
-    pools = build_pools(km_model, features)
     scenarios = [
         Scenario(topology, pools, SingleServerBurst("h3", requests)),
         Scenario(topology, pools, BigClusterRR(requests)),

@@ -1,9 +1,9 @@
 """Northbound-style REST service over the clustering pipeline.
 
 Staged in-memory state: a topology must be uploaded before clusters can be
-computed, and pools exist only once a model does. One current cluster model
-is kept: a GET /clusters repeating its parameters returns it unchanged, and
-other parameters replace it and rebuild the pools. A method a path does not
+computed, and pools exist only once a plan does. One current plan is kept: a
+GET /clusters repeating its parameters returns its body unchanged, and other
+parameters replace it and rebuild the pools. A method a path does not
 serve gets 405 with an Allow header. One lock serializes all state changes.
 
 Endpoints:
@@ -22,9 +22,9 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from . import allocator, clustering
-from .allocator import EqualPerCluster, SingleCluster, dispatch_sequence
-from .clustering import METHODS, ClusteringConfig, ClusteringError
+from . import allocator
+from .allocator import AllocationError, EqualPerCluster, SingleCluster, build_plan, dispatch_sequence
+from .clustering import METHODS, ClusteringError
 from .topology import TopologyError, load_topology
 
 MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
@@ -51,11 +51,10 @@ class LoadBalancerService:
 
     def _reset(self) -> None:
         self.topology = None
-        self.pools = None
+        self.plan = None
+        self.pools = None  # the current plan's pools, with their cursors
         self.counters: dict[str, int] = {}
-        # the current plan: its (k, method, seed) and its document
-        self._model_key = None
-        self._model_document = None
+        self._clusters = None  # the current plan's GET /clusters body
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -82,29 +81,21 @@ class LoadBalancerService:
                 raise ServiceError(400, "invalid k", f"k must be >= 1, got {k}")
             if method not in METHODS:
                 raise ServiceError(400, "invalid method", f"method must be one of {METHODS}")
-            key = (k, method, seed)
-            if key == self._model_key:
-                return self._model_document
-
-            try:
-                features = self.topology.features  # none without a server host
-                model = clustering.cluster(self.topology, ClusteringConfig(k=k, rng_seed=seed), method)
-            except (TopologyError, ClusteringError) as exc:
-                raise ServiceError(422, "clustering failed", str(exc)) from exc
-            document = clustering.cluster_model_document(model, features)
-            self.pools = allocator.build_pools(model, features)
-            self._model_key = key
-            self._model_document = {"requested_k": k, "method": method, "seed": seed, **document}
-            return self._model_document
+            if self.plan is None or self.plan.key != (k, method, seed):
+                try:
+                    self.topology.features  # noqa: B018 - without a server host every method fails here
+                    plan = build_plan(self.topology, k, method, seed)
+                except (TopologyError, ClusteringError) as exc:
+                    raise ServiceError(422, "clustering failed", str(exc)) from exc
+                self.plan, self.pools = plan, plan.pools()
+                self._clusters = {"requested_k": k, **plan.document}
+            return self._clusters
 
     def get_pools(self) -> dict:
         with self._lock:
-            if self.pools is None:
+            if self.plan is None:
                 raise ServiceError(409, "no pools", "compute clusters with GET /clusters first")
-            labels = {
-                n.id: n.display for n in self.topology.nodes
-            }
-            return allocator.pool_export(self.pools, labels)
+            return self.plan.export
 
     def post_requests(self, target, count) -> dict:
         with self._lock:
@@ -117,12 +108,13 @@ class LoadBalancerService:
             if target == "auto":
                 split = EqualPerCluster()
             elif isinstance(target, int) and not isinstance(target, bool):
-                if not any(p.cluster_index == target for p in self.pools.pools):
-                    raise ServiceError(400, "unknown cluster", f"no pool for cluster index {target}")
                 split = SingleCluster(target)
             else:
                 raise ServiceError(400, "invalid target", f"target must be 'auto' or a cluster index, got {target!r}")
-            assignments = dispatch_sequence(self.pools, count, split)
+            try:
+                assignments = dispatch_sequence(self.pools, count, split)
+            except AllocationError as exc:  # a cluster index with no pool; no cursor has moved
+                raise ServiceError(400, "unknown cluster", str(exc)) from exc
             counts = Counter(assignments)
             for server, n in counts.items():
                 self.counters[server] += n

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdnlb.allocator
 from sdnlb.allocator import (
     AllocationError,
     EqualPerCluster,
@@ -13,6 +14,7 @@ from sdnlb.allocator import (
     SingleCluster,
     SingleServer,
     avg_load_largest_cluster,
+    build_plan,
     build_pools,
     dispatch_sequence,
     distribute_requests,
@@ -20,10 +22,10 @@ from sdnlb.allocator import (
     table1,
     truncate_fraction,
 )
-from sdnlb.clustering import ClusteringConfig, kmeans_cluster
+from sdnlb.clustering import ClusteringConfig, ClusteringError, cluster, cluster_model_document, kmeans_cluster
 from sdnlb.topology import all_pairs_shortest_paths, build_paper_topology, natural_key, server_features
 
-from helpers import random_pool_set
+from helpers import count_calls, random_connected_topology, random_pool_set
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,40 @@ class TestBuildPools:
         truncated = replace(model, assignment=model.assignment[:-1])
         with pytest.raises(AllocationError, match="servers"):
             build_pools(truncated, features)
+
+
+class TestBuildPlan:
+    @pytest.mark.parametrize("method", ["kmeans", "spectral"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_plan_is_the_hand_built_chain(self, method, k):
+        for topo in (build_paper_topology(), random_connected_topology(k, unit_delays=True)):
+            plan = build_plan(topo, k, method, 2)
+            model = cluster(topo, ClusteringConfig(k=k, rng_seed=2), method)
+            assert (plan.topology, plan.key, plan.model) == (topo, (k, method, 2), model)
+            assert plan.document == {"method": method, "seed": 2, **cluster_model_document(model, topo.features)}
+            pools = build_pools(model, topo.features)
+            assert plan.pools() == pools
+            assert plan.export == pool_export(pools, {n.id: n.display for n in topo.nodes})
+
+    def test_document_and_export_are_built_once_on_first_use(self, monkeypatch):
+        documents = count_calls(monkeypatch, sdnlb.allocator, "cluster_model_document")
+        exports = count_calls(monkeypatch, sdnlb.allocator, "pool_export")
+        plan = build_plan(build_paper_topology(), 3, "kmeans", 0)
+        assert (len(documents), len(exports)) == (0, 0)
+        assert plan.document is plan.document
+        assert plan.export is plan.export
+        assert (len(documents), len(exports)) == (1, 1)
+
+    def test_pools_start_with_every_cursor_at_zero(self):
+        plan = build_plan(build_paper_topology(), 3, "kmeans", 0)
+        pools = plan.pools()
+        distribute_requests(pools, 5, EqualPerCluster())
+        assert [p.cursor for p in pools.pools] == [2, 2, 1]
+        assert [p.cursor for p in plan.pools().pools] == [0, 0, 0]
+
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ClusteringError, match="method must be one of"):
+            build_plan(build_paper_topology(), 3, "louvain", 0)
 
 
 class TestAssignRequest:

@@ -86,6 +86,12 @@ class TestPaperRepro:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    def test_load_sweep_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        sweeps = count_calls(monkeypatch, sdnlb.allocator, "table1")
+        assert main(["paper-repro", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(sweeps) == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["paper-repro", "--out", str(out1)]) == 0
@@ -223,6 +229,14 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "spectral"
         assert sorted(doc["priority_order"]) == [0, 1, 2]
+
+    @pytest.mark.parametrize("method", ["kmeans", "spectral"])
+    def test_cluster_builds_no_pools(self, method, monkeypatch, capsys):
+        pools = count_calls(monkeypatch, sdnlb.allocator, "build_pools")
+        exports = count_calls(monkeypatch, sdnlb.allocator, "pool_export")
+        assert main(["cluster", "--k", "3", "--method", method]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == method
+        assert (len(pools), len(exports)) == (0, 0)
 
     def test_cluster_spectral_computes_paths_once(self, monkeypatch, capsys):
         import sdnlb.topology

@@ -146,6 +146,21 @@ class TestGetClusters:
         service.get_clusters(k=3, seed=0)
         assert len(runs) == 4
 
+    def test_repeat_pools_builds_no_export(self, service, monkeypatch):
+        import sdnlb.allocator
+
+        service.put_topology(TOPOLOGY_DOC)
+        service.get_clusters(k=3)
+        exports = count_calls(monkeypatch, sdnlb.allocator, "pool_export")
+        first = service.get_pools()
+        assert len(exports) == 1
+        service.post_requests("auto", 5)  # cursors move; the export does not list them
+        assert service.get_pools() is first
+        assert len(exports) == 1
+        service.get_clusters(k=2)  # a re-plan exports its own pools
+        assert service.get_pools()["pools"] != first["pools"]
+        assert len(exports) == 2
+
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
         service.get_clusters(k=3)
@@ -182,9 +197,17 @@ class TestPostRequests:
     def test_unknown_cluster_is_400(self, service):
         service.put_topology(TOPOLOGY_DOC)
         service.get_clusters(k=3)
-        with pytest.raises(ServiceError) as err:
-            service.post_requests(9, 1)
-        assert err.value.status == 400
+        service.post_requests(1, 2)  # one cursor off zero
+        cursors = [p.cursor for p in service.pools.pools]
+        counters = dict(service.counters)
+        for target in (9, 3, -1):
+            with pytest.raises(ServiceError) as err:
+                service.post_requests(target, 1)
+            assert err.value.status == 400
+            assert err.value.body() == {"error": "unknown cluster", "detail": f"no pool for cluster index {target}"}
+        assert cursors == [0, 2, 0]
+        assert [p.cursor for p in service.pools.pools] == cursors
+        assert service.counters == counters
 
     def test_bad_count_is_400(self, service):
         service.put_topology(TOPOLOGY_DOC)
