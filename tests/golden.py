@@ -7,8 +7,15 @@ paths, where tie-breaks decide the output), and one switch with one server
 or with none, which the pipeline refuses. For each method and k = 1..5 the
 corpus pins the `sdnlb cluster` output and, on a fresh in-process
 `LoadBalancerService`, the bodies of GET /clusters, GET /pools, POST
-/requests (`auto`, then cluster index 0) and GET /stats. A call that raises
-pins its error instead.
+/requests (`auto`, then cluster index 0) and GET /stats. For k-means at
+k = 1..5 it also pins the simulator: `report_csv` for a 30-request burst at
+the first member of pool 0, for `BigClusterRR(30)` and for `ClusteredRR(10)`,
+and `compare_reports(...).to_csv()` over the three. A call that raises pins
+its error instead.
+
+List every changed, missing and extra key (exit 1 if there is one):
+
+    python tests/golden.py --check
 
 Regenerate tests/golden.json after a deliberate output change:
 
@@ -32,6 +39,7 @@ KS = range(1, 6)
 # the spectral partition of the paper topology at k = 5 depends on the
 # eigenvector basis the eigensolver returns (ROADMAP item 3)
 EXCLUDED = ("paper/spectral/k5",)
+SIMULATOR_OUTPUTS = ("single-server", "big-cluster", "clustered", "compare")
 
 
 ONE_SWITCH = {
@@ -96,6 +104,23 @@ def _service_bodies(document: dict, k: int, method: str) -> dict[str, bytes]:
     return bodies
 
 
+def _simulator_outputs(topology, k: int) -> dict[str, bytes]:
+    from sdnlb.allocator import build_plan
+    from sdnlb.simulator import (
+        BigClusterRR, ClusteredRR, Scenario, SingleServerBurst, compare_reports, report_csv, run_experiment,
+    )
+
+    try:
+        pools = build_plan(topology, k, "kmeans", 0).pools()
+        states = [SingleServerBurst(pools.pools[0].members[0], 30), BigClusterRR(30), ClusteredRR(10)]
+        reports = [run_experiment(Scenario(topology, pools, state)) for state in states]
+    except ValueError as exc:  # the plan or a run refuses the case: every output pins why
+        return dict.fromkeys(SIMULATOR_OUTPUTS, f"error: {exc}".encode())
+    found = {report.label: report_csv(report).encode() for report in reports}
+    found["compare"] = compare_reports(reports).to_csv().encode()
+    return found
+
+
 def outputs(case: str) -> dict[str, bytes]:
     """Every pinned output of one case, by key."""
     from sdnlb.clustering import METHODS
@@ -115,6 +140,9 @@ def outputs(case: str) -> dict[str, bytes]:
                 found[f"{prefix}/cluster"] = _cli_output(["cluster", *source, "--k", str(k), "--method", method])
                 for name, body in _service_bodies(document, k, method).items():
                     found[f"{prefix}/{name}"] = body
+    for k in KS:
+        for name, body in _simulator_outputs(topology, k).items():
+            found[f"{case}/kmeans/k{k}/{name}"] = body
     return found
 
 
@@ -122,13 +150,25 @@ def digests(case: str) -> dict[str, str]:
     return {key: hashlib.sha256(data).hexdigest() for key, data in outputs(case).items()}
 
 
+def differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """One line per changed, missing or extra key, in key order."""
+    lines = [f"changed {key}" for key in sorted(got.keys() & want.keys()) if got[key] != want[key]]
+    lines += [f"missing {key}" for key in sorted(want.keys() - got.keys())]
+    lines += [f"extra {key}" for key in sorted(got.keys() - want.keys())]
+    return lines
+
+
 def main(argv: list[str]) -> int:
-    if argv != ["--write"]:
-        print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
+    if argv not in (["--write"], ["--check"]):
+        print("usage: python tests/golden.py --check | --write", file=sys.stderr)
         return 2
     pins = {}
     for case in case_names():
         pins.update(digests(case))
+    if argv == ["--check"]:
+        lines = differences(pins, json.loads(GOLDEN.read_text()))
+        print("\n".join(lines) if lines else f"all {len(pins)} digests match {GOLDEN.name}")
+        return 1 if lines else 0
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} digests to {GOLDEN}")
     return 0
