@@ -39,7 +39,11 @@ def _load(topology_path: str | None) -> Topology:
     if topology_path is None:
         return build_paper_topology()
     with open(topology_path) as fh:
-        return load_topology(json.load(fh))
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{topology_path}: the JSON document nests too deeply") from None
+    return load_topology(document)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -44,21 +44,24 @@ class ClusterModel:
     assignment is parallel to the FeatureSet it was fitted on; centroids are
     (mean_hops, mean_delay_ms) in original feature units; sse is measured in
     the space the clustering actually ran in (the spectral embedding for
-    spectral clustering); priority_order lists cluster indices ascending by
-    (mean_hops, mean_delay_ms). Labels are canonical: clusters are numbered
-    by priority rank, so priority_order is the identity permutation.
-    sse_trace records per-iteration SSE of the winning run.
+    spectral clustering). Labels are canonical: clusters are numbered by
+    priority rank, ascending by (mean_hops, mean_delay_ms). sse_trace
+    records per-iteration SSE of the winning run.
     """
 
     assignment: tuple[int, ...]
     centroids: tuple[tuple[float, float], ...]
     sse: float
-    priority_order: tuple[int, ...]
     sse_trace: tuple[float, ...]
 
     @property
     def n_clusters(self) -> int:
         return len(self.centroids)
+
+    @property
+    def priority_order(self) -> tuple[int, ...]:
+        """Cluster indices, nearest first: the labels are priority ranks."""
+        return tuple(range(self.n_clusters))
 
 
 def effective_k(requested_k: int, n_points: int) -> int:
@@ -77,7 +80,7 @@ def _d2_seed(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     squared distance to the nearest chosen center. If all remaining mass is
     zero (duplicate points), the next center is uniform among points."""
     n = len(points)
-    if k > n:
+    if not 1 <= k <= n:
         raise ClusteringError(f"cannot seed {k} centers from {n} points")
     chosen = [rng.below(n)]
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
@@ -163,24 +166,17 @@ def lloyd(
     return _model_from(assignment, centroids, sse, trace)
 
 
-def _priority_order(centroids: np.ndarray) -> tuple[int, ...]:
-    return tuple(
-        sorted(range(len(centroids)), key=lambda c: (centroids[c][0], centroids[c][1], c))
-    )
-
-
 def _model_from(
     assignment: np.ndarray, centroids: np.ndarray, sse: float, trace: tuple[float, ...]
 ) -> ClusterModel:
     # canonical labels: clusters renumbered by priority rank (0 = nearest),
     # so identical partitions serialize identically regardless of seed
-    order = _priority_order(centroids)
+    order = sorted(range(len(centroids)), key=lambda c: (centroids[c][0], centroids[c][1], c))
     relabel = {old: new for new, old in enumerate(order)}
     return ClusterModel(
         assignment=tuple(relabel[int(a)] for a in assignment),
         centroids=tuple((float(centroids[old][0]), float(centroids[old][1])) for old in order),
         sse=sse,
-        priority_order=tuple(range(len(order))),
         sse_trace=trace,
     )
 
@@ -310,10 +306,11 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     return _model_from(assignment, centroids, sse, trace)
 
 
-def cluster(topology: Topology, config: ClusteringConfig, method: str = "kmeans") -> ClusterModel:
+def cluster(topology: Topology, config: ClusteringConfig, method: str) -> ClusterModel:
     """Cluster the topology's servers with the named method (one of METHODS)."""
+    features = topology.features  # first: every method refuses a server-less topology alike
     if method == "kmeans":
-        return kmeans_cluster(topology.features, config)
+        return kmeans_cluster(features, config)
     if method == "spectral":
         return spectral_cluster(topology, config)
     raise ClusteringError(f"method must be one of {METHODS}, got {method!r}")

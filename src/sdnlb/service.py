@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import Counter
+from dataclasses import asdict
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -83,7 +85,6 @@ class LoadBalancerService:
                 raise ServiceError(400, "invalid method", f"method must be one of {METHODS}")
             if self.plan is None or self.plan.key != (k, method, seed):
                 try:
-                    self.topology.features  # noqa: B018 - without a server host every method fails here
                     plan = build_plan(self.topology, k, method, seed)
                 except (TopologyError, ClusteringError) as exc:
                     raise ServiceError(422, "clustering failed", str(exc)) from exc
@@ -134,12 +135,8 @@ class LoadBalancerService:
                 summary = allocator.table1(len(counters), total, [len(self.pools.pools)])[0]
                 body["per_cluster_requests"] = per_cluster
                 body["load_summary"] = {
-                    "n_servers": summary.n_servers,
-                    "k": summary.k,
-                    "requests": summary.requests,
-                    "avg_servers_per_cluster": float(summary.avg_servers_per_cluster),
-                    "capacity_multiplier_pct": summary.capacity_multiplier_pct,
-                    "avg_load_largest_cluster": float(summary.avg_load_largest_cluster),
+                    name: float(value) if isinstance(value, Fraction) else value
+                    for name, value in asdict(summary).items()
                 }
             else:
                 body["per_cluster_requests"] = None
@@ -200,7 +197,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(408, "request timeout", f"the body did not arrive within {self.timeout:g} s") from None
         try:
             return json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # undecodable bytes, bad syntax, or nested too deeply
             raise ServiceError(422, "invalid json", str(exc)) from exc
 
     def _dispatch(self, fn) -> None:

@@ -14,6 +14,7 @@ declared model of TCP behaviour, not an emulation of it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -122,19 +123,13 @@ def max_min_fair_rates(
     depend on the order of the flows, and each flow gets its class's rate
     (see _fill_classes).
     """
-    if not flows:
-        return np.zeros(0)
-    first: dict[tuple[tuple[str, ...], float], Flow] = {}
-    for flow in flows:
-        first.setdefault((flow.path, flow.rtt_ms), flow)
-    signatures = sorted(first)
-    index = {signature: c for c, signature in enumerate(signatures)}
-    flow_class = [index[flow.path, flow.rtt_ms] for flow in flows]
-    mult = np.bincount(flow_class, minlength=len(signatures)).tolist()
+    multiplicity = Counter((flow.path, flow.rtt_ms) for flow in flows)
+    signatures = sorted(multiplicity)
     capacity = topology.capacity
-    classes = [(_link_keys(first[signature], capacity), signature[1], m) for signature, m in zip(signatures, mult)]
+    classes = [(_link_keys(path, capacity), rtt, multiplicity[path, rtt]) for path, rtt in signatures]
     rates, _ = _fill_classes(classes, capacity, rtt_window_bytes)
-    return np.array(rates)[flow_class]
+    rate = dict(zip(signatures, rates))
+    return np.array([rate[flow.path, flow.rtt_ms] for flow in flows])
 
 
 # a flow class: the link keys of its path, its rtt_ms and how many flows it holds
@@ -208,15 +203,15 @@ def _fill_classes(
     return rates, rounds
 
 
-def _link_keys(flow: Flow, capacity: Mapping[tuple[str, str], float]) -> tuple[tuple[str, str], ...]:
-    """The link key of each hop of the flow's path, found in either
-    orientation (a key holds its endpoints in natural order)."""
+def _link_keys(path: tuple[str, ...], capacity: Mapping[tuple[str, str], float]) -> tuple[tuple[str, str], ...]:
+    """The link key of each hop of the path, found in either orientation (a
+    key holds its endpoints in natural order)."""
     keys = []
-    for a, b in zip(flow.path, flow.path[1:]):
+    for a, b in zip(path, path[1:]):
         key = (a, b) if (a, b) in capacity else (b, a)
         if key not in capacity:
             a, b = sorted((a, b), key=natural_key)
-            raise SimulationError(f"flow {flow.src}->{flow.dst}: no link {a}-{b}")
+            raise SimulationError(f"path {'-'.join(path)}: no link {a}-{b}")
         keys.append(key)
     return tuple(keys)
 

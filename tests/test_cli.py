@@ -194,6 +194,23 @@ class TestExperiment:
         assert main(["cluster", "--topology", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, detail",
+        [
+            (b"[" * 200_000, "the JSON document nests too deeply"),
+            (b"\x80abc", "can't decode byte 0x80"),
+            (b'{"a": "\xff"}', "can't decode byte 0xff"),
+        ],
+        ids=["nested", "bad-start-byte", "bad-string-byte"],
+    )
+    def test_undecodable_topology_file_exits_2(self, raw, detail, tmp_path, capsys):
+        path = tmp_path / "topology.json"
+        path.write_bytes(raw)
+        assert main(["cluster", "--topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and detail in captured.err
+
     def test_custom_topology_file(self, tmp_path):
         doc = build_paper_topology().document()
         topo_path = tmp_path / "topo.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdnlb.clustering import (
+    METHODS,
+    ClusterModel,
     ClusteringConfig,
     ClusteringError,
     cluster,
@@ -22,8 +25,10 @@ from sdnlb.clustering import (
 )
 from sdnlb.topology import (
     FeatureSet,
+    TopologyError,
     all_pairs_shortest_paths,
     build_paper_topology,
+    load_topology,
     server_features,
 )
 
@@ -74,9 +79,10 @@ class TestSeeding:
             centers = kmeanspp_seed(features, 4, rng_seed=seed)
             assert sorted(map(tuple, centers.tolist())) == sorted(points)
 
-    def test_rejects_k_above_point_count(self):
-        with pytest.raises(ClusteringError):
-            kmeanspp_seed(feature_set([(0, 0), (1, 1)]), 3, rng_seed=0)
+    @pytest.mark.parametrize("k", [3, 0, -1])
+    def test_rejects_k_above_point_count(self, k):
+        with pytest.raises(ClusteringError, match=f"cannot seed {k} centers from 2 points"):
+            kmeanspp_seed(feature_set([(0, 0), (1, 1)]), k, rng_seed=0)
 
     def test_separated_pairs_get_one_center_each(self):
         # D-squared mass on the far pair dwarfs the near neighbour
@@ -478,12 +484,32 @@ class TestClusterEntryPoint:
     def test_dispatches_by_method_name(self):
         topo = build_paper_topology()
         config = ClusteringConfig(k=3, rng_seed=0)
-        assert cluster(topo, config) == kmeans_cluster(topo.features, config)
+        assert cluster(topo, config, "kmeans") == kmeans_cluster(topo.features, config)
         assert cluster(topo, config, "spectral") == spectral_cluster(topo, config)
 
     def test_unknown_method_is_named(self):
         with pytest.raises(ClusteringError, match="'ward'"):
             cluster(build_paper_topology(), ClusteringConfig(k=3), "ward")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_refuses_a_topology_without_servers_alike(self, method):
+        # one switch and no switch links: spectral would refuse its degree instead
+        topo = load_topology({
+            "nodes": [{"id": "s1", "kind": "switch"}, {"id": "u1", "kind": "user_host"}],
+            "links": [{"a": "u1", "b": "s1", "delay_ms": 0.0, "capacity_mbps": 100.0}],
+            "user_switch": "s1",
+        })
+        with pytest.raises(TopologyError, match="^feature set must contain at least one server$"):
+            cluster(topo, ClusteringConfig(k=1), method)
+
+
+def test_priority_order_is_derived_from_the_labels(paper_features):
+    topo, features = paper_features
+    assert "priority_order" not in {field.name for field in dataclasses.fields(ClusterModel)}
+    for k in range(1, 6):
+        for method in METHODS:
+            model = cluster(topo, ClusteringConfig(k=k), method)
+            assert model.priority_order == tuple(range(model.n_clusters))
 
 
 def test_cluster_model_document_shape(paper_features):

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdnlb
+from sdnlb.cli import main as cli_main
+from sdnlb.clustering import METHODS
 from sdnlb.service import LoadBalancerService, ServiceError, _Handler, make_server
 from sdnlb.topology import build_paper_topology
 
@@ -348,7 +350,8 @@ class TestHttpEndpoints:
         out = requests.get(f"{base}/clusters", params={"k": "three"})
         assert out.status_code == 400
 
-    def test_clusters_on_topology_without_servers_is_422(self, live_server):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_clusters_on_topology_without_servers_is_422(self, live_server, method, tmp_path, capsys):
         base, _ = live_server
         document = {
             "nodes": [{"id": "s1", "kind": "switch"}, {"id": "u1", "kind": "user_host"}],
@@ -356,12 +359,34 @@ class TestHttpEndpoints:
             "user_switch": "s1",
         }
         assert requests.put(f"{base}/topology", json=document).status_code == 200
-        out = requests.get(f"{base}/clusters", params={"k": 1})
+        out = requests.get(f"{base}/clusters", params={"k": 1, "method": method})
         assert out.status_code == 422
         assert out.json() == {
             "error": "clustering failed",
             "detail": "feature set must contain at least one server",
         }
+        # the CLI refuses the same document with the same detail
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["cluster", "--topology", str(path), "--k", "1", "--method", method]) == 2
+        assert capsys.readouterr().err == "error: feature set must contain at least one server\n"
+
+    @pytest.mark.parametrize("path, method", [("/topology", "PUT"), ("/requests", "POST")])
+    @pytest.mark.parametrize(
+        "raw, detail",
+        [
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+            (b"\x80abc", "can't decode byte 0x80"),
+            (b'{"a": "\xff"}', "can't decode byte 0xff"),
+        ],
+        ids=["nested", "bad-start-byte", "bad-string-byte"],
+    )
+    def test_undecodable_body_is_422(self, live_server, path, method, raw, detail):
+        base, _ = live_server
+        out = requests.request(method, f"{base}{path}", data=raw, headers={"Content-Type": "application/json"})
+        assert out.status_code == 422
+        assert out.json()["error"] == "invalid json"
+        assert detail in out.json()["detail"]
 
     @pytest.mark.parametrize("case", BAD_TOPOLOGY_DOCUMENTS)
     def test_bad_topology_value_is_422(self, live_server, case):

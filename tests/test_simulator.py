@@ -96,7 +96,7 @@ class TestMaxMinFairRates:
     def test_unknown_link_rejected(self):
         topo = chain_topology(3)
         flow = Flow("u1", "v1", ("s1", "s3"), rtt_ms=10.0)  # skips s2
-        with pytest.raises(SimulationError, match="s1-s3"):
+        with pytest.raises(SimulationError, match="^path s1-s3: no link s1-s3$"):
             max_min_fair_rates([flow], topo)
 
     def test_unconstrained_flow_rejected(self):
