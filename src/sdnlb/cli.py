@@ -43,6 +43,8 @@ def _load(topology_path: str | None) -> Topology:
             document = json.load(fh)
         except RecursionError:
             raise ValueError(f"{topology_path}: the JSON document nests too deeply") from None
+        except ValueError as exc:  # bad syntax, or bytes that are not UTF-8
+            raise ValueError(f"{topology_path}: {exc}") from None
     return load_topology(document)
 
 

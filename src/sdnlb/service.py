@@ -6,6 +6,10 @@ GET /clusters repeating its parameters returns its body unchanged, and other
 parameters replace it and rebuild the pools. A method a path does not
 serve gets 405 with an Allow header. One lock serializes all state changes.
 
+Connections are persistent (HTTP/1.1) and served by a fixed pool of worker
+threads. A reply that leaves declared body bytes unread, and every error the
+stdlib itself answers, closes its connection with ``Connection: close``.
+
 Endpoints:
     PUT  /topology                      upload a topology document
     GET  /clusters?k=&method=&seed=     compute or fetch the cluster model
@@ -16,12 +20,14 @@ Endpoints:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import queue
 import threading
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import allocator
@@ -31,6 +37,8 @@ from .topology import TopologyError, load_topology
 
 MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
 MAX_COUNT = 100_000  # requests per POST /requests; each is listed in the reply
+POOL_SIZE = 8  # worker threads; each serves one connection for as long as it stays open
+QUEUE_SIZE = 64  # accepted connections waiting for a worker; one more is answered 503 busy
 
 
 class ServiceError(Exception):
@@ -149,11 +157,15 @@ class LoadBalancerService:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "sdnlb/0.1"
+    # persistent connections; with Nagle's algorithm on, a reply could wait
+    # about 40 ms for the client's delayed ACK of the one before
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     # a request line without a version, or one refused before its version is
-    # read, is answered as HTTP/1.0, so every reply has a status line
+    # read, is treated as HTTP/1.0: its reply has a status line and closes
     default_request_version = "HTTP/1.0"
-    # seconds a socket read or write may stall: a client that never ends its
-    # request cannot hold a handler thread for longer
+    # seconds a socket read or write may stall, and a connection may sit idle
+    # between requests: a client cannot hold a worker for longer
     timeout = 30.0
 
     @property
@@ -163,21 +175,31 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test output quiet
 
-    def _send(self, status: int, body: dict, allow: str | None = None) -> None:
+    def _send(self, status: int, body: dict, allow: str | None = None, close: bool = False) -> None:
         payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         if allow is not None:
             self.send_header("Allow", allow)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(payload)
+        if close or self.request_version < "HTTP/1.1" or self._body_unread():
+            self.send_header("Connection", "close")  # the stdlib then closes after this reply
+        # status line, headers and body in one write
+        self._headers_buffer.append(b"\r\n" if self.command == "HEAD" else b"\r\n" + payload)
+        self.flush_headers()
+
+    def _body_unread(self) -> bool:
+        """Whether the request declared body bytes that were not read: on a
+        persistent connection they would be parsed as the next request."""
+        if "Transfer-Encoding" in self.headers:  # a chunked body is never read
+            return True
+        return not self._body_read and self.headers.get("Content-Length", "0") != "0"
 
     def send_error(self, code, message=None, explain=None):
-        """The stdlib's own replies (bad request line, no do_ method) as JSON."""
+        """The stdlib's own replies (bad request line, no do_ method) as JSON;
+        like the stdlib's, they close the connection."""
         short, long = self.responses.get(code, ("error", ""))
-        self._send(code, {"error": short.lower(), "detail": message or explain or long})
+        self._send(code, {"error": short.lower(), "detail": message or explain or long}, close=True)
 
     def _read_json(self) -> dict:
         header = self.headers.get("Content-Length", "0")
@@ -195,6 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length) if length else b""
         except TimeoutError:
             raise ServiceError(408, "request timeout", f"the body did not arrive within {self.timeout:g} s") from None
+        self._body_read = len(raw) == length
         try:
             return json.loads(raw) if raw else {}
         except (ValueError, RecursionError) as exc:  # undecodable bytes, bad syntax, or nested too deeply
@@ -234,6 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
     }
 
     def _route(self) -> None:
+        self._body_read = False
         path = urlparse(self.path).path
         methods = self.ROUTES.get(path)
         if methods is None:
@@ -247,11 +271,61 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = _route
 
 
-def make_server(host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    """Build (but do not start) the HTTP server; port 0 binds an ephemeral port."""
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.service = LoadBalancerService()  # type: ignore[attr-defined]
-    return server
+_BUSY_BODY = json.dumps({"error": "busy", "detail": "every worker is busy and the connection queue is full"}).encode()
+_BUSY_REPLY = (
+    b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
+)
+
+
+class _PooledServer(HTTPServer):
+    """Accepted connections wait in a bounded queue for one of POOL_SIZE
+    daemon workers; a connection that finds the queue full is answered 503
+    busy and closed. Daemon workers let the process exit while a client
+    holds an idle connection."""
+
+    # the kernel's own accept backlog; at the stdlib's 5, a burst of
+    # connections loses SYNs and each lost one waits a second to retry
+    request_queue_size = QUEUE_SIZE
+
+    def __init__(self, address: tuple[str, int]):
+        super().__init__(address, _Handler)
+        self.service = LoadBalancerService()
+        # unbounded, so server_close can always add a stop mark; connections
+        # are bounded by process_request, the one thread that adds them
+        self._waiting: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers = [threading.Thread(target=self._work, daemon=True) for _ in range(POOL_SIZE)]
+        for worker in self._workers:
+            worker.start()
+
+    def process_request(self, request, client_address) -> None:
+        if self._waiting.qsize() < QUEUE_SIZE:
+            self._waiting.put((request, client_address))
+            return
+        with contextlib.suppress(OSError):  # a client that has gone needs no answer
+            request.sendall(_BUSY_REPLY)
+        self.shutdown_request(request)
+
+    def _work(self) -> None:
+        while (item := self._waiting.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        for _ in self._workers:
+            self._waiting.put(None)  # after the connections already waiting
+
+
+def make_server(host: str = "127.0.0.1", port: int = 0) -> _PooledServer:
+    """Build the HTTP server and start its idle workers; port 0 binds an
+    ephemeral port. serve_forever accepts connections."""
+    return _PooledServer((host, port))
 
 
 def serve(host: str, port: int) -> None:

@@ -200,8 +200,10 @@ class TestExperiment:
             (b"[" * 200_000, "the JSON document nests too deeply"),
             (b"\x80abc", "can't decode byte 0x80"),
             (b'{"a": "\xff"}', "can't decode byte 0xff"),
+            (b"", "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"nodes": [}', "Expecting value: line 1 column 12 (char 11)"),
         ],
-        ids=["nested", "bad-start-byte", "bad-string-byte"],
+        ids=["nested", "bad-start-byte", "bad-string-byte", "empty", "bad-syntax"],
     )
     def test_undecodable_topology_file_exits_2(self, raw, detail, tmp_path, capsys):
         path = tmp_path / "topology.json"
@@ -210,6 +212,7 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and detail in captured.err
+        assert captured.err.startswith(f"error: {path}: ")  # the message names the file
 
     def test_custom_topology_file(self, tmp_path):
         doc = build_paper_topology().document()

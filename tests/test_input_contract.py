@@ -1,19 +1,22 @@
 """Every entry point takes any mutated topology document to a result or to a
-named error, within a deadline: load_topology, PUT /topology and the CLI."""
+named error, within a deadline: load_topology, PUT /topology (in process and
+over one persistent HTTP connection) and the CLI."""
 
 import contextlib
 import copy
+import http.client
 import io
 import json
 import math
 import signal
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnlb.cli import main
-from sdnlb.service import LoadBalancerService, ServiceError
+from sdnlb.service import LoadBalancerService, ServiceError, make_server
 from sdnlb.topology import Topology, TopologyError, build_paper_topology, load_topology
 
 from helpers import random_connected_topology
@@ -107,9 +110,25 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(scope="module")
+def wire():
+    """One persistent connection to a running service."""
+    server = make_server(port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    conn = http.client.HTTPConnection(host, port, timeout=DEADLINE_S)
+    conn.connect()
+    yield conn
+    conn.close()
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=DEADLINE_S)
+
+
 @settings(max_examples=100, deadline=None)
-@given(mutated_documents())
-def test_load_topology_and_put_topology_answer_or_name_the_error(document):
+@given(document=mutated_documents())
+def test_load_topology_and_put_topology_answer_or_name_the_error(document, wire):
     with deadline(DEADLINE_S):
         try:
             topology = load_topology(document)
@@ -122,6 +141,15 @@ def test_load_topology_and_put_topology_answer_or_name_the_error(document):
         except ServiceError as exc:
             assert topology is None
             assert 400 <= exc.status < 500
+        sock = wire.sock
+        wire.request("PUT", "/topology", body=json.dumps(document))  # NaN and inf as JSON's literals
+        response = wire.getresponse()
+        body = json.loads(response.read())
+        if topology is not None:
+            assert response.status == 200
+        else:
+            assert 400 <= response.status < 500 and set(body) == {"error", "detail"}
+        assert (wire.sock, response.will_close) == (sock, False)  # the connection stays usable
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,10 @@
+import contextlib
+import hashlib
 import http.client
 import json
 import os
 import select
+import signal
 import socket
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from sdnlb.clustering import METHODS
 from sdnlb.service import LoadBalancerService, ServiceError, _Handler, make_server
 from sdnlb.topology import build_paper_topology
 
+import golden
 from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
 
 TOPOLOGY_DOC = build_paper_topology().document()
@@ -495,7 +499,7 @@ def raw_exchange(base: str, request: bytes) -> tuple[str, dict, bytes]:
 def test_stdlib_error_replies_are_json(live_server, request_line, status, detail):
     base, _ = live_server
     got_status, headers, body = raw_exchange(base, request_line.encode() + b"\r\n\r\n")
-    assert got_status == f"HTTP/1.0 {status}"
+    assert got_status == f"HTTP/1.1 {status}"
     assert headers["Content-Type"] == "application/json"
     assert int(headers["Content-Length"]) == len(body)
     assert json.loads(body) == {"error": status.split(" ", 1)[1].lower(), "detail": detail}
@@ -512,7 +516,7 @@ def test_stdlib_error_replies_are_json(live_server, request_line, status, detail
 def test_reply_without_a_usable_version_has_a_status_line(live_server, request_line, status, body):
     base, _ = live_server
     got_status, headers, got_body = raw_exchange(base, request_line.encode() + b"\r\n\r\n")
-    assert got_status == f"HTTP/1.0 {status}"
+    assert got_status == f"HTTP/1.1 {status}"
     assert headers["Content-Type"] == "application/json"
     assert json.loads(got_body) == body
 
@@ -520,7 +524,7 @@ def test_reply_without_a_usable_version_has_a_status_line(live_server, request_l
 def test_head_error_reply_has_no_body(live_server):
     base, _ = live_server
     status, headers, body = raw_exchange(base, b"HEAD /stats HTTP/1.0\r\n\r\n")
-    assert status == "HTTP/1.0 501 Not Implemented"
+    assert status == "HTTP/1.1 501 Not Implemented"
     assert headers["Content-Type"] == "application/json"
     assert body == b""
 
@@ -531,11 +535,16 @@ def test_head_error_reply_has_no_body(live_server):
         (b"GET /stats\r\n", "", b""),  # the headers never end: closed unanswered
         (
             b"PUT /topology HTTP/1.0\r\nContent-Length: 10\r\n\r\n{",
-            "HTTP/1.0 408 Request Timeout",
+            "HTTP/1.1 408 Request Timeout",
+            b'{"error": "request timeout", "detail": "the body did not arrive within 0.2 s"}',
+        ),
+        (
+            b"PUT /topology HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{",
+            "HTTP/1.1 408 Request Timeout",
             b'{"error": "request timeout", "detail": "the body did not arrive within 0.2 s"}',
         ),
     ],
-    ids=["unended-headers", "stalled-body"],
+    ids=["unended-headers", "stalled-body", "stalled-body-persistent"],
 )
 def test_stalled_request_is_dropped_after_the_timeout(live_server, monkeypatch, request_bytes, status, body):
     assert 0 < _Handler.timeout <= 60  # every connection has one, not only this test's
@@ -547,7 +556,247 @@ def test_stalled_request_is_dropped_after_the_timeout(live_server, monkeypatch, 
     assert (got_status, got_body) == (status, body)
 
 
-def test_serve_prints_listening_line_through_a_pipe():
+# -- persistent connections ---------------------------------------------------
+
+# a request whose reply does not depend on the service's state
+PLAIN_REQUEST = b"GET /clusters?k=x HTTP/1.1\r\nHost: x\r\n\r\n"
+PLAIN_REPLY = ("HTTP/1.1 400 Bad Request", "invalid parameter")
+
+
+@contextlib.contextmanager
+def connection(base: str):
+    """A raw socket to the server and a buffered reader of its replies."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as conn, conn.makefile("rb") as rfile:
+        yield conn, rfile
+
+
+def read_reply(rfile) -> tuple[str, dict, bytes]:
+    """Read one reply: the status line, the headers and the body its
+    Content-Length declares, and nothing after it."""
+    status = rfile.readline().decode("iso-8859-1").rstrip("\r\n")
+    headers = {}
+    while line := rfile.readline().decode("iso-8859-1").rstrip("\r\n"):
+        name, value = line.split(": ", 1)
+        headers[name] = value
+    return status, headers, rfile.read(int(headers["Content-Length"]))
+
+
+def closed_after(rfile) -> bool:
+    """Whether the server closes the connection with nothing more sent."""
+    try:
+        return rfile.read() == b""
+    except ConnectionResetError:  # closed with bytes of ours still unread
+        return True
+
+
+def plain_exchange(conn, rfile) -> dict:
+    conn.sendall(PLAIN_REQUEST)
+    status, headers, body = read_reply(rfile)
+    assert (status, json.loads(body)["error"]) == PLAIN_REPLY
+    return headers
+
+
+def test_calls_on_one_connection_keep_it_and_the_golden_bodies(live_server):
+    """Six calls for each plan of the golden corpus's paper case, 54 in all,
+    over one connection; every body matches its pinned digest."""
+    base, _ = live_server
+    host, port = base.removeprefix("http://").split(":")
+    pins = json.loads(golden.GOLDEN.read_text())
+    conn = http.client.HTTPConnection(host, int(port), timeout=5)
+    calls = 0
+    try:
+        conn.connect()
+        sock = conn.sock
+        for method in METHODS:
+            for k in golden.KS:
+                prefix = f"paper/{method}/k{k}"
+                if prefix in golden.EXCLUDED:
+                    continue
+                for name, verb, path, body in [
+                    ("topology", "PUT", "/topology", TOPOLOGY_DOC),
+                    ("clusters", "GET", f"/clusters?k={k}&method={method}&seed=0", None),
+                    ("pools", "GET", "/pools", None),
+                    ("requests-auto", "POST", "/requests", {"target": "auto", "count": 10}),
+                    ("requests-0", "POST", "/requests", {"target": 0, "count": 7}),
+                    ("stats", "GET", "/stats", None),
+                ]:
+                    conn.request(verb, path, body=None if body is None else json.dumps(body))
+                    response = conn.getresponse()
+                    data = response.read()
+                    calls += 1
+                    assert (response.status, response.will_close) == (200, False)
+                    if name != "topology":
+                        assert hashlib.sha256(data).hexdigest() == pins[f"{prefix}/{name}"], f"{prefix}/{name}"
+        assert conn.sock is sock  # http.client opens a new socket only after a close
+    finally:
+        conn.close()
+    assert calls >= 50
+
+
+SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "request_bytes,status,error",
+    [
+        (b"POST /nope HTTP/1.1\r\nContent-Length: 33\r\n\r\n" + SMUGGLED, "404 Not Found", "not found"),
+        (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (sdnlb.service.MAX_BODY_BYTES + 1) + SMUGGLED,
+            "413 Request Entity Too Large",
+            "body too large",
+        ),
+        (b"POST /stats HTTP/1.1\r\nContent-Length: 33\r\n\r\n" + SMUGGLED, "405 Method Not Allowed", "method not allowed"),
+        (b"GET /clusters?k=x HTTP/1.1\r\nContent-Length: 33\r\n\r\n" + SMUGGLED, "400 Bad Request", "invalid parameter"),
+        (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: abc\r\n\r\n" + SMUGGLED,
+            "400 Bad Request",
+            "invalid content-length",
+        ),
+        (
+            b"PUT /topology HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n21\r\n" + SMUGGLED + b"\r\n0\r\n\r\n",
+            "422 Unprocessable Entity",
+            "invalid topology",
+        ),
+    ],
+    ids=["404", "413", "405", "get-with-body", "bad-content-length", "chunked"],
+)
+def test_unread_body_is_not_a_second_request(live_server, request_bytes, status, error):
+    base, _ = live_server
+    with connection(base) as (conn, rfile):
+        conn.sendall(request_bytes)  # one write: the body is there to be misread
+        got_status, headers, body = read_reply(rfile)
+        assert closed_after(rfile)  # exactly one reply
+    assert got_status == f"HTTP/1.1 {status}"
+    assert headers["Connection"] == "close"
+    assert json.loads(body)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "request_line,status",
+    [
+        ("FOO /stats HTTP/1.1", "501 Not Implemented"),
+        ("GET /a b c HTTP/1.1", "400 Bad Request"),
+        ("GET /stats HTTP/9.9", "505 HTTP Version Not Supported"),
+    ],
+)
+def test_stdlib_error_closes_a_persistent_connection(live_server, request_line, status):
+    base, _ = live_server
+    with connection(base) as (conn, rfile):
+        assert "Connection" not in plain_exchange(conn, rfile)  # the connection stays open
+        conn.sendall(request_line.encode() + b"\r\nHost: x\r\n\r\n")
+        got_status, headers, body = read_reply(rfile)
+        assert closed_after(rfile)
+    assert got_status == f"HTTP/1.1 {status}"
+    assert headers["Connection"] == "close"
+    assert set(json.loads(body)) == {"error", "detail"}
+
+
+@pytest.mark.parametrize("request_line", ["GET /clusters?k=x HTTP/1.0", "GET /clusters?k=x"])
+def test_request_below_http_1_1_gets_one_reply_even_if_it_asks_to_keep_alive(live_server, request_line):
+    base, _ = live_server
+    with connection(base) as (conn, rfile):
+        conn.sendall(request_line.encode() + b"\r\nConnection: keep-alive\r\n\r\n")
+        status, headers, body = read_reply(rfile)
+        assert closed_after(rfile)
+    assert (status, json.loads(body)["error"]) == PLAIN_REPLY
+    assert headers["Connection"] == "close"
+
+
+def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch):
+    nodelay, writes = [], []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        write = handler.wfile.write
+        handler.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    base, _ = live_server
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=5)
+    bodies = []
+    try:
+        for verb, path, body in [
+            ("PUT", "/topology", TOPOLOGY_DOC),
+            ("GET", "/clusters?k=3", None),
+            ("GET", "/pools", None),
+            ("POST", "/requests", {"target": "auto", "count": 300}),
+            ("GET", "/stats", None),
+            ("GET", "/nope", None),
+        ]:
+            conn.request(verb, path, body=None if body is None else json.dumps(body))
+            bodies.append(conn.getresponse().read())
+    finally:
+        conn.close()
+    assert len(nodelay) == 1 and nodelay[0] != 0  # one connection, Nagle's algorithm off
+    assert len(writes) == len(bodies)
+    assert all(write.endswith(b"\r\n\r\n" + body) for write, body in zip(writes, bodies))
+
+
+def test_idle_connection_is_closed_after_the_timeout(live_server, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    base, _ = live_server
+    with connection(base) as (conn, rfile):
+        plain_exchange(conn, rfile)
+        start = time.monotonic()
+        assert closed_after(rfile)  # its own read times out after 5 s
+        assert 0.1 < time.monotonic() - start < 3
+
+
+def test_threads_stay_within_the_pool(live_server):
+    base, _ = live_server
+    limit = sdnlb.service.POOL_SIZE + 3  # the main thread, the accepting thread and one spare
+    for _ in range(300):
+        with connection(base) as (conn, rfile):
+            plain_exchange(conn, rfile)
+    assert threading.active_count() <= limit
+    # twenty clients hold a connection open at once: the pool serves some
+    # while the rest wait in the queue, served as earlier ones close
+    with contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(connection(base)) for _ in range(20)]
+        for conn, _ in clients:
+            conn.sendall(PLAIN_REQUEST)
+        peak = threading.active_count()
+        for conn, rfile in clients:
+            status, _, body = read_reply(rfile)
+            assert (status, json.loads(body)["error"]) == PLAIN_REPLY
+            plain_exchange(conn, rfile)
+            peak = max(peak, threading.active_count())
+            conn.shutdown(socket.SHUT_RDWR)  # the reader still holds the socket open
+    assert peak <= limit
+
+
+def test_full_queue_is_answered_503_busy(monkeypatch):
+    monkeypatch.setattr(sdnlb.service, "POOL_SIZE", 1)
+    monkeypatch.setattr(sdnlb.service, "QUEUE_SIZE", 1)
+    server = make_server(port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = "http://%s:%d" % server.server_address
+    try:
+        with connection(base) as (held, held_rfile):
+            plain_exchange(held, held_rfile)  # the one worker now holds this connection
+            with connection(base) as (waiting, waiting_rfile), connection(base) as (_, refused_rfile):
+                status, headers, body = read_reply(refused_rfile)  # found the queue full
+                assert closed_after(refused_rfile)
+                held.shutdown(socket.SHUT_RDWR)  # frees the worker for the waiting connection
+                plain_exchange(waiting, waiting_rfile)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert status == "HTTP/1.1 503 Service Unavailable"
+    assert (headers["Content-Type"], headers["Connection"]) == ("application/json", "close")
+    assert json.loads(body) == {"error": "busy", "detail": "every worker is busy and the connection queue is full"}
+
+
+@contextlib.contextmanager
+def serve_subprocess():
+    """A `python -m sdnlb serve --port 0` process behind a pipe, and the
+    first line it prints."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(Path(sdnlb.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -560,10 +809,22 @@ def test_serve_prints_listening_line_through_a_pipe():
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 10)
         assert ready, "no listening line within 10 s"
-        line = proc.stdout.readline().decode()
-        assert line.startswith("sdnlb service listening on http://127.0.0.1:")
-        assert int(line.rsplit(":", 1)[1]) > 0
+        yield proc, proc.stdout.readline().decode()
     finally:
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_serve_prints_listening_line_through_a_pipe():
+    with serve_subprocess() as (_, line):
+        assert line.startswith("sdnlb service listening on http://127.0.0.1:")
+        assert int(line.rsplit(":", 1)[1]) > 0
+
+
+def test_serve_exits_on_sigint_while_a_connection_idles():
+    with serve_subprocess() as (proc, line):
+        with connection(line.rsplit("//", 1)[1].strip()) as (conn, rfile):
+            plain_exchange(conn, rfile)  # a worker now waits on this idle connection
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == 0
