@@ -6,9 +6,10 @@ GET /clusters repeating its parameters returns its body unchanged, and other
 parameters replace it and rebuild the pools. A method a path does not
 serve gets 405 with an Allow header. One lock serializes all state changes.
 
-Connections are persistent (HTTP/1.1) and served by a fixed pool of worker
-threads. A reply that leaves declared body bytes unread, and every error the
-stdlib itself answers, closes its connection with ``Connection: close``.
+Connections are persistent (HTTP/1.1), each served by its own thread, up to
+MAX_CONNECTIONS at once. A reply that leaves declared body bytes unread, and
+every error the stdlib itself answers, closes its connection with
+``Connection: close``.
 
 Endpoints:
     PUT  /topology                      upload a topology document
@@ -21,13 +22,13 @@ Endpoints:
 from __future__ import annotations
 
 import contextlib
+import io
 import json
-import queue
 import threading
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import allocator
@@ -37,8 +38,7 @@ from .topology import TopologyError, load_topology
 
 MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
 MAX_COUNT = 100_000  # requests per POST /requests; each is listed in the reply
-POOL_SIZE = 8  # worker threads; each serves one connection for as long as it stays open
-QUEUE_SIZE = 64  # accepted connections waiting for a worker; one more is answered 503 busy
+MAX_CONNECTIONS = 64  # connections served at once, one thread each; one more is answered 503 busy
 
 
 class ServiceError(Exception):
@@ -161,11 +161,14 @@ class _Handler(BaseHTTPRequestHandler):
     # about 40 ms for the client's delayed ACK of the one before
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # replies are buffered and sent when the stdlib flushes after each
+    # request: status line, headers and a body that fits go out in one write
+    wbufsize = io.DEFAULT_BUFFER_SIZE
     # a request line without a version, or one refused before its version is
     # read, is treated as HTTP/1.0: its reply has a status line and closes
     default_request_version = "HTTP/1.0"
     # seconds a socket read or write may stall, and a connection may sit idle
-    # between requests: a client cannot hold a worker for longer
+    # between requests: a client cannot hold a connection slot for longer
     timeout = 30.0
 
     @property
@@ -184,9 +187,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Allow", allow)
         if close or self.request_version < "HTTP/1.1" or self._body_unread():
             self.send_header("Connection", "close")  # the stdlib then closes after this reply
-        # status line, headers and body in one write
-        self._headers_buffer.append(b"\r\n" if self.command == "HEAD" else b"\r\n" + payload)
-        self.flush_headers()
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(payload)
 
     def _body_unread(self) -> bool:
         """Whether the request declared body bytes that were not read: on a
@@ -271,61 +274,52 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = _route
 
 
-_BUSY_BODY = json.dumps({"error": "busy", "detail": "every worker is busy and the connection queue is full"}).encode()
+_BUSY_BODY = json.dumps({"error": "busy", "detail": "too many open connections"}).encode()
 _BUSY_REPLY = (
     b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
     b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY)
 )
 
 
-class _PooledServer(HTTPServer):
-    """Accepted connections wait in a bounded queue for one of POOL_SIZE
-    daemon workers; a connection that finds the queue full is answered 503
-    busy and closed. Daemon workers let the process exit while a client
-    holds an idle connection."""
+class _Server(ThreadingHTTPServer):
+    """One daemon thread per connection, at most MAX_CONNECTIONS at once; a
+    connection past that is answered 503 busy and closed. Daemon threads let
+    the process exit while a client holds an idle connection."""
 
-    # the kernel's own accept backlog; at the stdlib's 5, a burst of
-    # connections loses SYNs and each lost one waits a second to retry
-    request_queue_size = QUEUE_SIZE
+    # the kernel's accept backlog; at the stdlib's 5, a burst of connections
+    # loses SYNs and each lost one waits a second to retry
+    request_queue_size = MAX_CONNECTIONS
 
     def __init__(self, address: tuple[str, int]):
         super().__init__(address, _Handler)
         self.service = LoadBalancerService()
-        # unbounded, so server_close can always add a stop mark; connections
-        # are bounded by process_request, the one thread that adds them
-        self._waiting: queue.SimpleQueue = queue.SimpleQueue()
-        self._workers = [threading.Thread(target=self._work, daemon=True) for _ in range(POOL_SIZE)]
-        for worker in self._workers:
-            worker.start()
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
 
     def process_request(self, request, client_address) -> None:
-        if self._waiting.qsize() < QUEUE_SIZE:
-            self._waiting.put((request, client_address))
+        if not self._slots.acquire(blocking=False):
+            with contextlib.suppress(OSError):  # a client that has gone needs no answer
+                request.sendall(_BUSY_REPLY)
+            self.shutdown_request(request)
             return
-        with contextlib.suppress(OSError):  # a client that has gone needs no answer
-            request.sendall(_BUSY_REPLY)
-        self.shutdown_request(request)
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started that would give the slot back
+            self._slots.release()
+            raise
 
-    def _work(self) -> None:
-        while (item := self._waiting.get()) is not None:
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        for _ in self._workers:
-            self._waiting.put(None)  # after the connections already waiting
+    def finish_request(self, request, client_address) -> None:
+        # runs in the connection's thread; the slot is free again before the
+        # socket closes, so a client that saw it close can connect at once
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            self._slots.release()
 
 
-def make_server(host: str = "127.0.0.1", port: int = 0) -> _PooledServer:
-    """Build the HTTP server and start its idle workers; port 0 binds an
-    ephemeral port. serve_forever accepts connections."""
-    return _PooledServer((host, port))
+def make_server(host: str = "127.0.0.1", port: int = 0) -> _Server:
+    """Build the HTTP server; port 0 binds an ephemeral port. serve_forever
+    accepts connections."""
+    return _Server((host, port))
 
 
 def serve(host: str, port: int) -> None:

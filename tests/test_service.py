@@ -710,8 +710,9 @@ def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch):
     def recording_setup(handler):
         setup(handler)
         nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-        write = handler.wfile.write
-        handler.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
+        sock_writer = handler.wfile.raw  # under the reply buffer: what reaches the socket
+        write = sock_writer.write
+        sock_writer.write = lambda data: writes.append(bytes(data)) or write(data)
 
     monkeypatch.setattr(_Handler, "setup", recording_setup)
     base, _ = live_server
@@ -746,51 +747,72 @@ def test_idle_connection_is_closed_after_the_timeout(live_server, monkeypatch):
         assert 0.1 < time.monotonic() - start < 3
 
 
-def test_threads_stay_within_the_pool(live_server):
-    base, _ = live_server
-    limit = sdnlb.service.POOL_SIZE + 3  # the main thread, the accepting thread and one spare
-    for _ in range(300):
-        with connection(base) as (conn, rfile):
-            plain_exchange(conn, rfile)
-    assert threading.active_count() <= limit
-    # twenty clients hold a connection open at once: the pool serves some
-    # while the rest wait in the queue, served as earlier ones close
-    with contextlib.ExitStack() as stack:
-        clients = [stack.enter_context(connection(base)) for _ in range(20)]
-        for conn, _ in clients:
-            conn.sendall(PLAIN_REQUEST)
-        peak = threading.active_count()
-        for conn, rfile in clients:
-            status, _, body = read_reply(rfile)
-            assert (status, json.loads(body)["error"]) == PLAIN_REPLY
-            plain_exchange(conn, rfile)
-            peak = max(peak, threading.active_count())
-            conn.shutdown(socket.SHUT_RDWR)  # the reader still holds the socket open
-    assert peak <= limit
-
-
-def test_full_queue_is_answered_503_busy(monkeypatch):
-    monkeypatch.setattr(sdnlb.service, "POOL_SIZE", 1)
-    monkeypatch.setattr(sdnlb.service, "QUEUE_SIZE", 1)
+@contextlib.contextmanager
+def capped_server(monkeypatch, cap: int):
+    """A server of its own, built while MAX_CONNECTIONS is `cap`."""
+    monkeypatch.setattr(sdnlb.service, "MAX_CONNECTIONS", cap)
     server = make_server(port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    base = "http://%s:%d" % server.server_address
     try:
-        with connection(base) as (held, held_rfile):
-            plain_exchange(held, held_rfile)  # the one worker now holds this connection
-            with connection(base) as (waiting, waiting_rfile), connection(base) as (_, refused_rfile):
-                status, headers, body = read_reply(refused_rfile)  # found the queue full
-                assert closed_after(refused_rfile)
-                held.shutdown(socket.SHUT_RDWR)  # frees the worker for the waiting connection
-                plain_exchange(waiting, waiting_rfile)
+        yield "http://%s:%d" % server.server_address
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def test_idle_connections_do_not_delay_a_new_one(live_server):
+    base, _ = live_server
+    with contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(connection(base)) for _ in range(20)]
+        for conn, rfile in clients:
+            plain_exchange(conn, rfile)  # each connection now idles, kept open
+        start = time.monotonic()
+        with connection(base) as (conn, rfile):
+            plain_exchange(conn, rfile)
+        assert time.monotonic() - start < 1  # far below the 30 s idle timeout
+        for conn, rfile in clients:
+            plain_exchange(conn, rfile)  # and every idle one is still served
+
+
+def test_threads_stay_within_the_connection_cap(monkeypatch):
+    cap = 4
+    before = threading.active_count()
+    limit = before + 1 + cap  # the accepting thread and one per connection
+    with capped_server(monkeypatch, cap) as base:
+        for _ in range(300):
+            with connection(base) as (conn, rfile):
+                plain_exchange(conn, rfile)
+                conn.shutdown(socket.SHUT_WR)
+                assert closed_after(rfile)  # its slot is free again
+        assert threading.active_count() <= limit
+        # twenty clients connect at once: the first `cap` are served, and
+        # the rest are answered 503 busy without a thread of their own
+        with contextlib.ExitStack() as stack:
+            clients = [stack.enter_context(connection(base)) for _ in range(20)]
+            for conn, rfile in clients[:cap]:
+                plain_exchange(conn, rfile)
+            for _, rfile in clients[cap:]:
+                status, _, body = read_reply(rfile)
+                assert (status, json.loads(body)["error"]) == ("HTTP/1.1 503 Service Unavailable", "busy")
+            assert threading.active_count() <= limit
+
+
+def test_connection_past_the_cap_is_answered_503_busy(monkeypatch):
+    with capped_server(monkeypatch, 1) as base:
+        with connection(base) as (held, held_rfile):
+            plain_exchange(held, held_rfile)  # this connection holds the one slot
+            with connection(base) as (_, refused_rfile):
+                status, headers, body = read_reply(refused_rfile)
+                assert closed_after(refused_rfile)
+            held.shutdown(socket.SHUT_WR)
+            assert closed_after(held_rfile)
+        with connection(base) as (conn, rfile):
+            plain_exchange(conn, rfile)  # the slot was given back
     assert status == "HTTP/1.1 503 Service Unavailable"
     assert (headers["Content-Type"], headers["Connection"]) == ("application/json", "close")
-    assert json.loads(body) == {"error": "busy", "detail": "every worker is busy and the connection queue is full"}
+    assert json.loads(body) == {"error": "busy", "detail": "too many open connections"}
 
 
 @contextlib.contextmanager
@@ -825,6 +847,6 @@ def test_serve_prints_listening_line_through_a_pipe():
 def test_serve_exits_on_sigint_while_a_connection_idles():
     with serve_subprocess() as (proc, line):
         with connection(line.rsplit("//", 1)[1].strip()) as (conn, rfile):
-            plain_exchange(conn, rfile)  # a worker now waits on this idle connection
+            plain_exchange(conn, rfile)  # a handler thread now waits on this idle connection
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=5) == 0
