@@ -86,8 +86,8 @@ Split = EqualPerCluster | SingleCluster | SingleServer
 
 
 def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
-    """One pool per cluster, members in natural server-id order, pools in
-    cluster order (cluster 0 is the nearest), cursors at zero."""
+    """One pool per cluster, members in feature (natural server-id) order,
+    pools in cluster order (cluster 0 is the nearest), cursors at zero."""
     if len(model.assignment) != len(features.server_ids):
         raise AllocationError(
             f"model covers {len(model.assignment)} servers, features have {len(features.server_ids)}"
@@ -97,7 +97,7 @@ def build_pools(model: ClusterModel, features: FeatureSet) -> PoolSet:
         members[cluster].append(server)
     return PoolSet(
         pools=[
-            Pool(cluster, tuple(sorted(servers, key=natural_key)), model.centroids[cluster])
+            Pool(cluster, tuple(servers), model.centroids[cluster])
             for cluster, servers in members.items()
         ]
     )

@@ -191,6 +191,12 @@ def cmd_paper_repro(args) -> int:
     return 1 if failures else 0
 
 
+def _port(text: str) -> int:
+    if text.strip().isdecimal() and int(text) <= 65535:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"port must be an integer within 0-65535, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sdnlb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser("serve", help="run the REST service")
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8080)
+    p_serve.add_argument("--port", type=_port, default=8080)
     p_serve.set_defaults(fn=cmd_serve)
 
     p_repro = sub.add_parser("paper-repro", help="regenerate all reference results")

@@ -8,7 +8,7 @@ one entry point that picks a method by name.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,6 @@ from .topology import FeatureSet, Topology
 
 METHODS = ("kmeans", "spectral")
 MAX_ITERATIONS = 100
-TOLERANCE = 1e-9
 RESTARTS = 10
 EIGENGAP_TOL = 1e-9
 
@@ -107,15 +106,13 @@ def _reseed_empty(
     dist2: np.ndarray, assignment: np.ndarray, k: int
 ) -> np.ndarray:
     """Move the point farthest from its assigned centroid into each empty
-    cluster (candidates only from clusters that keep >= 1 member)."""
+    cluster, taking it from a cluster of two or more (one exists: k <= n)."""
     assignment = assignment.copy()
     for cluster in range(k):
         if (assignment == cluster).any():
             continue
         counts = np.bincount(assignment, minlength=k)
         movable = counts[assignment] >= 2
-        if not movable.any():
-            raise ClusteringError("more clusters than points; cannot fill empty cluster")
         cost = np.where(movable, dist2[np.arange(len(assignment)), assignment], -1.0)
         assignment[int(cost.argmax())] = cluster
     return assignment
@@ -124,8 +121,8 @@ def _reseed_empty(
 def _lloyd(
     points: np.ndarray, initial_centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, tuple[float, ...]]:
-    """Lloyd refinement, at most MAX_ITERATIONS rounds, stopping once the
-    assignment is stable or SSE improves by less than TOLERANCE. Returns
+    """Lloyd refinement, at most MAX_ITERATIONS rounds, stopping at a fixed
+    point: an assignment that the round did not change. Returns
     (assignment, centroids, sse, sse_trace)."""
     k = len(initial_centroids)
     if k < 1:
@@ -136,8 +133,6 @@ def _lloyd(
     centroids = np.asarray(initial_centroids, dtype=float)
     assignment = np.full(len(points), -1, dtype=np.int64)
     trace: list[float] = []
-    prev_sse = math.inf
-    sse = math.inf
     for _ in range(MAX_ITERATIONS):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
@@ -148,11 +143,9 @@ def _lloyd(
         if trace and sse > trace[-1] + 1e-9:
             raise ClusteringError(f"Lloyd SSE increased from {trace[-1]} to {sse}")
         trace.append(sse)
-        stable = bool(np.array_equal(new_assignment, assignment))
-        assignment = new_assignment
-        if stable or prev_sse - sse < TOLERANCE:
+        if np.array_equal(new_assignment, assignment):
             break
-        prev_sse = sse
+        assignment = new_assignment
     return assignment, centroids, sse, tuple(trace)
 
 
@@ -286,10 +279,8 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
 
     features = topology.features
     switch_index = topology.switch_index
-    bearing = sorted(
-        {topology.attached_switch(server) for server in features.server_ids},
-        key=lambda s: switch_index[s],
-    )
+    server_switch = [topology.attached_switch(server) for server in features.server_ids]
+    bearing = sorted(set(server_switch), key=switch_index.__getitem__)
     k = effective_k(config.k, len(bearing))
 
     embedding = spectral_embedding(adjacency, k)
@@ -297,10 +288,7 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     switch_assignment, _, sse, trace = _best_of_restarts(rows, k, config)
     by_switch = {s: int(c) for s, c in zip(bearing, switch_assignment)}
 
-    assignment = np.asarray(
-        [by_switch[topology.attached_switch(server)] for server in features.server_ids],
-        dtype=np.int64,
-    )
+    assignment = np.asarray([by_switch[s] for s in server_switch], dtype=np.int64)
     raw = features.array
     centroids = np.stack([raw[assignment == c].mean(axis=0) for c in range(k)])
     return _model_from(assignment, centroids, sse, trace)
@@ -321,9 +309,7 @@ def cluster(topology: Topology, config: ClusteringConfig, method: str) -> Cluste
 
 def cluster_model_document(model: ClusterModel, features: FeatureSet) -> dict:
     """Wire format shared by the REST service and the CLI."""
-    sizes = [0] * model.n_clusters
-    for c in model.assignment:
-        sizes[c] += 1
+    sizes = Counter(model.assignment)
     return {
         "k": model.n_clusters,
         "servers": [

@@ -308,7 +308,7 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
 def report_csv(report: ExperimentReport) -> str:
     """Fixed-format report: one row per server plus a row for the user host."""
     lines = ["entity,kind,requests,bytes_mb,bandwidth_mbps,cluster"]
-    for server in sorted(report.per_server_requests, key=natural_key):
+    for server in report.per_server_requests:  # natural order, as distribute_requests gave them
         lines.append(
             f"{server},server,{report.per_server_requests[server]},"
             f"{report.per_server_bytes[server]:.4f},"

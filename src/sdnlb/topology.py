@@ -44,13 +44,14 @@ class NodeKind(str, Enum):
 
 @lru_cache(maxsize=NATURAL_KEY_CACHE_SIZE)
 def natural_key(node_id: str) -> tuple:
-    """Sort key ordering embedded integers numerically (h2 before h10).
+    """Sort key ordering embedded decimal integers (the split's odd parts)
+    numerically, h2 before h10; other digits, such as ² or ①, sort as text.
 
     Memoized with a bounded cache: links, topology sorting and the
     simulator's server sorts all ask again for the same few ids.
     """
     parts = re.split(r"(\d+)", node_id)
-    return tuple((0, int(p)) if p.isdigit() else (1, p) for p in parts if p)
+    return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,30 @@ def random_connected_topology(
     return Topology(nodes=tuple(nodes), links=tuple(links), user_switch=switches[0])
 
 
+def layered_topology(levels: int, width: int, per_switch: int) -> Topology:
+    """The benchmark's layered family without its jitter: s1 with user host
+    u1 on level 1, then `width` switches on each of levels 2..levels with
+    `per_switch` servers each; adjacent levels joined complete-bipartite by
+    links of delay 5 + upper level ms. Every switch below level 2 has many
+    equal (hops, delay) paths, and no server sits on the user switch."""
+    nodes = [Node("s1", NodeKind.SWITCH, level=1), Node("u1", NodeKind.USER_HOST, level=1)]
+    links = [Link("u1", "s1", 0.0, 1000.0)]
+    by_level = [["s1"]]
+    switch_ids = (f"s{i}" for i in itertools.count(2))
+    host_ids = (f"v{i}" for i in itertools.count(1))
+    for level in range(2, levels + 1):
+        row = [next(switch_ids) for _ in range(width)]
+        by_level.append(row)
+        for switch in row:
+            nodes.append(Node(switch, NodeKind.SWITCH, level=level))
+            for host in itertools.islice(host_ids, per_switch):
+                nodes.append(Node(host, NodeKind.SERVER_HOST, level=level))
+                links.append(Link(host, switch, 0.0, 1000.0))
+    for level, (upper_row, lower_row) in enumerate(zip(by_level, by_level[1:]), start=1):
+        links.extend(Link(upper, lower, 5.0 + level, 1000.0) for upper in upper_row for lower in lower_row)
+    return Topology(nodes=tuple(nodes), links=tuple(links), user_switch="s1")
+
+
 def bfs_hop_matrix(topology: Topology) -> np.ndarray:
     """Independent hop-count oracle: breadth-first search from every switch."""
     ids = topology.switch_ids
@@ -313,6 +337,30 @@ def _paper_document_with(key: str, value, on_link: bool) -> dict:
     return doc
 
 
+def paper_document_renamed(names: dict[str, str]) -> dict:
+    """The paper document with each node id in `names` replaced by its value."""
+    doc = build_paper_topology().document()
+    for node in doc["nodes"]:
+        node["id"] = names.get(node["id"], node["id"])
+    for link in doc["links"]:
+        link["a"], link["b"] = names.get(link["a"], link["a"]), names.get(link["b"], link["b"])
+    doc["user_switch"] = names.get(doc["user_switch"], doc["user_switch"])
+    return doc
+
+
+# a switch and two servers renamed to ids holding digits that are not
+# decimal (a superscript, a circled number), which natural_key sorts as text
+NON_DECIMAL_DIGIT_IDS = {"s7": "²", "h10": "h1²", "h9": "①"}
+
+
+def _paper_document_relinked(old: tuple[str, str], new: tuple[str, str]) -> dict:
+    """The paper document with its link `old` moved to the ends `new`."""
+    doc = build_paper_topology().document()
+    link = next(l for l in doc["links"] if (l["a"], l["b"]) == old)
+    link["a"], link["b"] = new
+    return doc
+
+
 def _link_cases(key: str, values: dict) -> dict:
     return {
         f"{key}-{name}": (_paper_document_with(key, value, True), f"link s1-s2: {key}")
@@ -351,5 +399,13 @@ BAD_TOPOLOGY_DOCUMENTS = {
     ),
     **_first_entry_cases(
         "nodes", "label", {"list": [1, {}], "mapping": {"ip": "10.0.0.1"}}, "node 'h1': label must be a string or null"
+    ),
+    "link-self-loop": (_paper_document_relinked(("s1", "s2"), ("s2", "s2")), "link endpoints must differ (got 's2' twice)"),
+    "link-host-to-host": (
+        _paper_document_relinked(("h2", "s2"), ("h2", "h10")), "host 'h2' must attach to a switch, not 'h10'"
+    ),
+    "user_switch-host": (_paper_document_with("user_switch", "h1", False), "user_switch 'h1' must be a switch"),
+    "user_switch-off-the-user-host": (
+        _paper_document_with("user_switch", "s2", False), "user host 'h1' is not attached to user_switch 's2'"
     ),
 }

@@ -14,7 +14,7 @@ from sdnlb.cli import main
 from sdnlb.service import make_server
 from sdnlb.topology import build_paper_topology
 
-from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
+from helpers import BAD_TOPOLOGY_DOCUMENTS, NON_DECIMAL_DIGIT_IDS, count_calls, paper_document_renamed
 
 # sha256 of each paper-repro output at the default flags. The reference
 # topology's Laplacian has a threefold eigenvalue 1 across the k = 3
@@ -275,6 +275,38 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and names in captured.err
+
+    def test_cluster_on_ids_with_non_decimal_digits(self, tmp_path, capsys):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)))
+        assert main(["cluster", "--topology", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {s["server_id"] for s in doc["servers"]} >= {"h1²", "①"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--requests", "-1"], "error: requests must be >= 0\n"),
+            (["cluster", "--k", "0"], "error: k must be >= 1\n"),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1", "x"])
+    def test_port_out_of_range_exits_2_without_binding(self, port, monkeypatch, capsys):
+        served = []
+        monkeypatch.setattr(sdnlb.service, "serve", lambda host, port: served.append(port))
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", f"--port={port}"])
+        assert exit_.value.code == 2
+        assert served == []
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sdnlb serve") and "port must be an integer within 0-65535" in err
+        assert main(["serve", "--port=65535"]) == 0
+        assert served == [65535]
 
     def test_table1_csv(self, capsys):
         assert main(["table1"]) == 0

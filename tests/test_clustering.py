@@ -161,6 +161,26 @@ class TestLloyd:
         with pytest.raises(ClusteringError):
             lloyd(features, np.zeros((2, 2)), ClusteringConfig(k=2))
 
+    def test_rejects_zero_centroids(self):
+        with pytest.raises(ClusteringError, match="need at least one initial centroid"):
+            lloyd(feature_set([(0.0, 0.0)]), np.zeros((0, 2)), ClusteringConfig(k=1))
+
+    def test_stops_only_at_a_fixed_point(self):
+        # near-duplicate points (1e-10 apart) move SSE by less than 1e-9 per
+        # round; Lloyd still runs until no point changes cluster
+        from sdnlb.clustering import _lloyd
+
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(6, 21)), int(rng.integers(2, 5))
+            base = rng.random((n // 3, 2))
+            features = feature_set(base[rng.integers(0, len(base), n)] + rng.integers(-1, 2, size=(n, 2)) * 1e-10)
+            points = features.array
+            assignment, centroids, _, trace = _lloyd(points, kmeanspp_seed(features, k, seed))
+            nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+            assert np.array_equal(nearest, assignment), seed
+            assert trace[-1] == trace[-2], seed  # the last round changed nothing
+
     def test_sse_trace_is_monotone_non_increasing(self):
         rnd = random.Random(4)
         for _ in range(30):
@@ -315,6 +335,10 @@ class TestEigendecomposition:
         values, _ = sym_eigendecomposition(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert values == pytest.approx([1.0, 3.0], abs=1e-12)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ClusteringError, match="matrix must be square"):
+            sym_eigendecomposition(np.zeros((2, 3)))
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ClusteringError, match="symmetric"):
             sym_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -440,6 +464,11 @@ class TestSpectral:
         values, _ = sym_eigendecomposition(laplacian)
         assert values[0] >= -1e-8
         assert values[-1] <= 2.0 + 1e-8
+
+    def test_laplacian_names_an_isolated_vertex(self):
+        adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ClusteringError, match="vertex 2 has degree 0"):
+            normalized_laplacian(adjacency)
 
     def test_isolated_switch_is_named(self):
         # a single-switch topology has no switch links at all

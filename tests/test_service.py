@@ -25,7 +25,7 @@ from sdnlb.service import LoadBalancerService, ServiceError, _Handler, make_serv
 from sdnlb.topology import build_paper_topology
 
 import golden
-from helpers import BAD_TOPOLOGY_DOCUMENTS, count_calls
+from helpers import BAD_TOPOLOGY_DOCUMENTS, NON_DECIMAL_DIGIT_IDS, count_calls, paper_document_renamed
 
 TOPOLOGY_DOC = build_paper_topology().document()
 
@@ -353,6 +353,32 @@ class TestHttpEndpoints:
         requests.put(f"{base}/topology", json=TOPOLOGY_DOC)
         out = requests.get(f"{base}/clusters", params={"k": "three"})
         assert out.status_code == 400
+
+    def test_unknown_method_is_400(self, live_server):
+        base, _ = live_server
+        requests.put(f"{base}/topology", json=TOPOLOGY_DOC)
+        out = requests.get(f"{base}/clusters", params={"method": "bogus"})
+        assert out.status_code == 400
+        assert out.json() == {"error": "invalid method", "detail": f"method must be one of {METHODS}"}
+
+    def test_unknown_target_is_400(self, live_server):
+        base, _ = live_server
+        requests.put(f"{base}/topology", json=TOPOLOGY_DOC)
+        requests.get(f"{base}/clusters", params={"k": 3})
+        out = requests.post(f"{base}/requests", json={"target": "x", "count": 1})
+        assert out.status_code == 400
+        assert out.json()["error"] == "invalid target"
+        assert requests.get(f"{base}/stats").json()["total_requests"] == 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_ids_with_non_decimal_digits_are_served(self, live_server, method):
+        base, _ = live_server
+        put = requests.put(f"{base}/topology", json=paper_document_renamed(NON_DECIMAL_DIGIT_IDS))
+        assert put.status_code == 200
+        out = requests.get(f"{base}/clusters", params={"k": 3, "method": method})
+        assert out.status_code == 200
+        servers = [s["server_id"] for s in out.json()["servers"]]
+        assert servers == ["h1²", *(f"h{i}" for i in range(2, 9)), "①"]  # h1² after h1, ① after the h ids
 
     @pytest.mark.parametrize("method", METHODS)
     def test_clusters_on_topology_without_servers_is_422(self, live_server, method, tmp_path, capsys):

@@ -18,7 +18,13 @@ from sdnlb.topology import (
     server_features,
 )
 
-from helpers import BAD_TOPOLOGY_DOCUMENTS, bfs_hop_matrix, random_connected_topology
+from helpers import (
+    BAD_TOPOLOGY_DOCUMENTS,
+    NON_DECIMAL_DIGIT_IDS,
+    bfs_hop_matrix,
+    paper_document_renamed,
+    random_connected_topology,
+)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +241,23 @@ class TestServerFeatures:
 
 def test_natural_key_orders_numeric_suffixes():
     assert sorted(["h10", "h2", "h1", "s3"], key=natural_key) == ["h1", "h2", "h10", "s3"]
+
+
+def test_natural_key_sorts_non_decimal_digits_as_text():
+    assert natural_key("h1²") == ((1, "h"), (0, 1), (1, "²"))
+    assert natural_key("①") == ((1, "①"),)
+    assert sorted(["²", "h10", "h1²", "h1"], key=natural_key) == ["h1", "h1²", "h10", "²"]
+
+
+def test_ids_with_non_decimal_digits_load_and_sort_deterministically():
+    document = paper_document_renamed(NON_DECIMAL_DIGIT_IDS)
+    topo = load_topology(document)
+    reversed_document = {**document, "nodes": document["nodes"][::-1], "links": document["links"][::-1]}
+    assert load_topology(reversed_document) == topo
+    ids = [n.id for n in topo.nodes]
+    assert set(NON_DECIMAL_DIGIT_IDS.values()) <= set(ids)
+    assert ids == sorted(ids, key=natural_key)
+    assert topo.attached_switch("h1²") == "²"
 
 
 def test_natural_key_is_computed_once_per_id():
