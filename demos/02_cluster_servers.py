@@ -6,11 +6,10 @@ clusters the server-bearing switches there. Both report centroids in
 (hops, delay) units and order clusters nearest-first.
 """
 
-from sdnlb import ClusteringConfig, build_paper_topology, kmeans_cluster, spectral_cluster
+from sdnlb import build_paper_topology, build_plan
 
 topo = build_paper_topology()
 features = topo.features
-config = ClusteringConfig(k=3, rng_seed=0)
 
 
 def show(title, model):
@@ -30,10 +29,10 @@ def show(title, model):
 
 # Feature-space clustering separates the levels exactly: hop values 1/2/3
 # are linearly separable, so every seed lands on the same partition.
-show("k-means++ on (hops, delay):", kmeans_cluster(features, config))
+show("k-means++ on (hops, delay):", build_plan(topo, 3, "kmeans", 0).model)
 
 # Graph clustering sees adjacency only. The reference topology is highly
 # symmetric and its Laplacian spectrum is degenerate, so the embedding - and
 # hence the partition - differs from the feature-space result. It is still
 # deterministic for a fixed seed.
-show("spectral clustering on the switch graph:", spectral_cluster(topo, config))
+show("spectral clustering on the switch graph:", build_plan(topo, 3, "spectral", 0).model)

@@ -7,20 +7,10 @@ with k while the worst-case per-server load follows R / (k * (n - k + 1)),
 minimized mid-range.
 """
 
-from sdnlb import (
-    ClusteringConfig,
-    EqualPerCluster,
-    build_paper_topology,
-    build_pools,
-    distribute_requests,
-    kmeans_cluster,
-    pool_export,
-    table1,
-)
+from sdnlb import EqualPerCluster, build_paper_topology, build_plan, distribute_requests, table1
 
-topo = build_paper_topology()
-model = kmeans_cluster(topo.features, ClusteringConfig(k=3, rng_seed=0))
-pools = build_pools(model, topo.features)
+plan = build_plan(build_paper_topology(), 3, "kmeans", 0)
+pools = plan.pools()
 
 print("pools (priority order):")
 for pool in pools.pools:
@@ -35,8 +25,7 @@ for server, count in counts.items():
     print(f"  {server:<4} {count}")
 
 print("\ncontroller-style pool export:")
-export = pool_export(pools, {n.id: n.display for n in topo.nodes})
-for entry in export["pools"]:
+for entry in plan.export["pools"]:
     members = ", ".join(m["address_label"] for m in entry["members"])
     print(f"  {entry['pool_id']} ({entry['policy']}): {members}")
 

@@ -9,19 +9,16 @@ window/RTT per-flow cap, so nearer clusters can move more data per flow.
 from sdnlb import (
     BigClusterRR,
     ClusteredRR,
-    ClusteringConfig,
     Scenario,
     SingleServerBurst,
     build_paper_topology,
-    build_pools,
+    build_plan,
     compare_reports,
-    kmeans_cluster,
     run_experiment,
 )
 
 topo = build_paper_topology()
-model = kmeans_cluster(topo.features, ClusteringConfig(k=3, rng_seed=0))
-pools = build_pools(model, topo.features)
+pools = build_plan(topo, 3, "kmeans", 0).pools()
 
 reports = []
 for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10)):

@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,7 +74,7 @@ def _table1_csv(rows) -> str:
 
 def cmd_table1(args) -> int:
     topology = _load(args.topology)
-    _emit(_table1_csv(table1(topology.n_servers, args.requests)), args.out)
+    _emit(_table1_csv(table1(len(topology.features), args.requests)), args.out)
     return 0
 
 
@@ -197,6 +198,7 @@ def _port(text: str) -> int:
     raise argparse.ArgumentTypeError(f"port must be an integer within 0-65535, got {text!r}")
 
 
+@functools.cache  # one parser per process: the options never change
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sdnlb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

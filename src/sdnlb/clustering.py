@@ -1,9 +1,9 @@
 """Server clustering: k-means++ on (hops, delay) features and spectral
 clustering on the switch adjacency graph.
 
-Both paths share the same seeded D²-sampling initializer and Lloyd refiner,
-so a fixed seed yields a bit-identical model on every run. cluster() is the
-one entry point that picks a method by name.
+Both paths share the same seeded D²-sampling initializer, Lloyd refiner and
+model builder, so a fixed seed yields a bit-identical model on every run.
+cluster() is the one entry point that picks a method by name.
 """
 
 from __future__ import annotations
@@ -120,10 +120,10 @@ def _reseed_empty(
 
 def _lloyd(
     points: np.ndarray, initial_centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, tuple[float, ...]]:
+) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """Lloyd refinement, at most MAX_ITERATIONS rounds, stopping at a fixed
     point: an assignment that the round did not change. Returns
-    (assignment, centroids, sse, sse_trace)."""
+    (assignment, sse, sse_trace)."""
     k = len(initial_centroids)
     if k < 1:
         raise ClusteringError("need at least one initial centroid")
@@ -146,7 +146,7 @@ def _lloyd(
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    return assignment, centroids, sse, tuple(trace)
+    return assignment, sse, tuple(trace)
 
 
 def lloyd(
@@ -155,20 +155,23 @@ def lloyd(
     """Run Lloyd refinement from the given centroids over raw features
     (config is accepted for symmetry with kmeans_cluster; nothing in it
     changes the refinement)."""
-    assignment, centroids, sse, trace = _lloyd(features.array, initial_centroids)
-    return _model_from(assignment, centroids, sse, trace)
+    return _model_from(features.array, *_lloyd(features.array, initial_centroids))
 
 
 def _model_from(
-    assignment: np.ndarray, centroids: np.ndarray, sse: float, trace: tuple[float, ...]
+    points: np.ndarray, assignment: np.ndarray, sse: float, trace: tuple[float, ...]
 ) -> ClusterModel:
-    # canonical labels: clusters renumbered by priority rank (0 = nearest),
-    # so identical partitions serialize identically regardless of seed
-    order = sorted(range(len(centroids)), key=lambda c: (centroids[c][0], centroids[c][1], c))
+    """The one model builder: each centroid is its cluster's mean raw (hops,
+    delay); clusters are renumbered by priority rank (0 = nearest), so equal
+    partitions serialize identically whatever the seed."""
+    centroids = [
+        tuple(map(float, points[assignment == c].mean(axis=0))) for c in range(int(assignment.max()) + 1)
+    ]
+    order = sorted(range(len(centroids)), key=centroids.__getitem__)  # stable: ties keep label order
     relabel = {old: new for new, old in enumerate(order)}
     return ClusterModel(
         assignment=tuple(relabel[int(a)] for a in assignment),
-        centroids=tuple((float(centroids[old][0]), float(centroids[old][1])) for old in order),
+        centroids=tuple(centroids[old] for old in order),
         sse=sse,
         sse_trace=trace,
     )
@@ -176,15 +179,16 @@ def _model_from(
 
 def _best_of_restarts(
     points: np.ndarray, k: int, config: ClusteringConfig
-) -> tuple[np.ndarray, np.ndarray, float, tuple[float, ...]]:
-    """Seeded restarts; keeps the lowest-SSE run (ties: earliest restart)."""
+) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """Seeded restarts; keeps the lowest-SSE run (ties: earliest restart).
+    Returns its (assignment, sse, sse_trace)."""
     seed_stream = SplitMix64(config.rng_seed)
     best = None
     for _ in range(RESTARTS):
         rng = SplitMix64(seed_stream.next_u64())
         initial = _d2_seed(points, k, rng)
         result = _lloyd(points, initial)
-        if best is None or result[2] < best[2]:
+        if best is None or result[1] < best[1]:
             best = result
     return best
 
@@ -196,8 +200,7 @@ def kmeans_cluster(features: FeatureSet, config: ClusteringConfig) -> ClusterMod
     """
     k = effective_k(config.k, len(features))
     points = features.array
-    assignment, centroids, sse, trace = _best_of_restarts(points, k, config)
-    return _model_from(assignment, centroids, sse, trace)
+    return _model_from(points, *_best_of_restarts(points, k, config))
 
 
 # -- spectral clustering ----------------------------------------------------
@@ -278,20 +281,15 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
             )
 
     features = topology.features
-    switch_index = topology.switch_index
-    server_switch = [topology.attached_switch(server) for server in features.server_ids]
-    bearing = sorted(set(server_switch), key=switch_index.__getitem__)
+    # each server's switch as a switch_ids row; bearing lists those rows once,
+    # in switch_ids order, and row_of_server maps each server to its place there
+    switch_rows = [topology.switch_index[topology.attached_switch(s)] for s in features.server_ids]
+    bearing, row_of_server = np.unique(switch_rows, return_inverse=True)
     k = effective_k(config.k, len(bearing))
 
-    embedding = spectral_embedding(adjacency, k)
-    rows = embedding[[switch_index[s] for s in bearing]]
-    switch_assignment, _, sse, trace = _best_of_restarts(rows, k, config)
-    by_switch = {s: int(c) for s, c in zip(bearing, switch_assignment)}
-
-    assignment = np.asarray([by_switch[s] for s in server_switch], dtype=np.int64)
-    raw = features.array
-    centroids = np.stack([raw[assignment == c].mean(axis=0) for c in range(k)])
-    return _model_from(assignment, centroids, sse, trace)
+    rows = spectral_embedding(adjacency, k)[bearing]
+    switch_assignment, sse, trace = _best_of_restarts(rows, k, config)
+    return _model_from(features.array, switch_assignment[row_of_server], sse, trace)
 
 
 def cluster(topology: Topology, config: ClusteringConfig, method: str) -> ClusterModel:

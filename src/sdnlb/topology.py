@@ -209,7 +209,10 @@ class Topology:
         return len(self.server_ids)
 
     def attached_switch(self, host_id: str) -> str:
-        node = self.node_map[host_id]
+        try:
+            node = self.node_map[host_id]
+        except KeyError:
+            raise TopologyError(f"unknown node id '{host_id}'") from None
         if node.kind is NodeKind.SWITCH:
             raise TopologyError(f"'{host_id}' is a switch, not a host")
         return self.adjacency[host_id][0]

@@ -314,6 +314,35 @@ class TestOtherCommands:
         assert rows[0] == "k,1,2,3,4,5,6,7,8,9"
         assert rows[2].endswith("900%")
 
+    @pytest.mark.parametrize("command", ["table1", "cluster", "experiment --state big-cluster"])
+    def test_topology_without_servers_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": "s1", "kind": "switch"}, {"id": "u1", "kind": "user_host"}],
+            "links": [{"a": "u1", "b": "s1", "delay_ms": 0.0, "capacity_mbps": 100.0}],
+            "user_switch": "s1",
+        }))
+        assert main([*command.split(), "--topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: feature set must contain at least one server\n")
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["table1"]) == 0
+        first = len(built)
+        assert main(["table1", "--requests", "3"]) == 0
+        assert len(built) == first
+        assert capsys.readouterr().out.startswith("k,1,2,")
+
     def test_serve_command_binds_and_answers(self):
         # drive the same server object the serve command uses
         server = make_server(port=0)

@@ -32,6 +32,7 @@ from sdnlb.topology import (
     server_features,
 )
 
+import golden
 from helpers import brute_force_kmeans, random_connected_topology
 
 
@@ -176,7 +177,8 @@ class TestLloyd:
             base = rng.random((n // 3, 2))
             features = feature_set(base[rng.integers(0, len(base), n)] + rng.integers(-1, 2, size=(n, 2)) * 1e-10)
             points = features.array
-            assignment, centroids, _, trace = _lloyd(points, kmeanspp_seed(features, k, seed))
+            assignment, _, trace = _lloyd(points, kmeanspp_seed(features, k, seed))
+            centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(k)])
             nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
             assert np.array_equal(nearest, assignment), seed
             assert trace[-1] == trace[-2], seed  # the last round changed nothing
@@ -380,7 +382,7 @@ class TestSpectral:
         embedding = spectral_embedding(adj, 2)
         from sdnlb.clustering import _best_of_restarts
 
-        assignment, _, _, _ = _best_of_restarts(embedding, 2, ClusteringConfig(k=2, rng_seed=0))
+        assignment, _, _ = _best_of_restarts(embedding, 2, ClusteringConfig(k=2, rng_seed=0))
         groups = {tuple(assignment[:3]), tuple(assignment[3:])}
         assert groups == {(0, 0, 0), (1, 1, 1)}
 
@@ -530,6 +532,25 @@ class TestClusterEntryPoint:
         })
         with pytest.raises(TopologyError, match="^feature set must contain at least one server$"):
             cluster(topo, ClusteringConfig(k=1), method)
+
+
+@pytest.mark.parametrize(
+    "case", [f"random-{seed}" for seed in range(10)] + ["layered-" + "-".join(map(str, s)) for s in golden.LAYERED_SHAPES]
+)
+def test_centroids_are_the_mean_features_of_nonempty_clusters(case):
+    # both methods fit a partition; a model's centroid is its cluster's mean
+    # raw (hops, delay), whatever space the partition was found in
+    topo = golden._topology(case)
+    by_server = dict(zip(topo.features.server_ids, topo.features.points))
+    for method in METHODS:
+        for k in range(1, 6):
+            model = cluster(topo, ClusteringConfig(k=k), method)
+            members = {c: [] for c in range(model.n_clusters)}
+            for sid, c in zip(topo.features.server_ids, model.assignment):
+                members[c].append(by_server[sid])
+            assert all(members.values()), (method, k)
+            for c, points in members.items():
+                assert model.centroids[c] == tuple(np.mean(points, axis=0).tolist()), (method, k, c)
 
 
 def test_priority_order_is_derived_from_the_labels(paper_features):

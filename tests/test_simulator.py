@@ -251,6 +251,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="server"):
             run_experiment(Scenario(topo, PoolSet([]), BigClusterRR(3)))
 
+    @pytest.mark.parametrize("state", [SingleServerBurst("h10", 3), BigClusterRR(30), ClusteredRR(10)])
+    def test_pools_of_another_topology_name_the_missing_server(self, paper, state):
+        # the paper topology's pools hold h10; this topology has no such host
+        _, pools = paper
+        document = build_paper_topology().document()
+        document["nodes"] = [n for n in document["nodes"] if n["id"] != "h10"]
+        document["links"] = [l for l in document["links"] if "h10" not in (l["a"], l["b"])]
+        with pytest.raises(sdnlb.topology.TopologyError, match="^unknown node id 'h10'$"):
+            run_experiment(Scenario(load_topology(document), pools, state))
+
     def test_scenario_pools_not_mutated(self, paper):
         topo, pools = paper
         cursors = [p.cursor for p in pools.pools]

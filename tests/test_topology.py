@@ -307,6 +307,15 @@ def test_paths_features_and_fingerprint_are_computed_once():
     assert topo.fingerprint() == build_paper_topology().fingerprint()
 
 
+def test_attached_switch_names_an_id_that_is_no_node():
+    topo = build_paper_topology()
+    assert topo.attached_switch("h10") == "s7"
+    with pytest.raises(TopologyError, match="^unknown node id 'h99'$"):
+        topo.attached_switch("h99")
+    with pytest.raises(TopologyError, match="^'s1' is a switch, not a host$"):
+        topo.attached_switch("s1")
+
+
 def test_adjacency_and_switch_index_are_built_once_and_read_only():
     topo = random_connected_topology(3)
     assert topo.adjacency is topo.adjacency
