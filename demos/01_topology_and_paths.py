@@ -21,10 +21,12 @@ for link in topo.links:
     if link.a.startswith("s") and link.b.startswith("s"):
         print(f"  {link.a} - {link.b}  {link.delay_ms:g} ms  {link.capacity_mbps:g} Mbps")
 
-# Hop-minimal all-pairs shortest paths over the switch graph. Ties on hop
-# count prefer lower accumulated delay, then the earliest switch id, so the
-# matrices are reproducible run to run. The topology computes them once, on
-# first use, and every later caller shares the result.
+# Hop-minimal all-pairs shortest paths over the switch graph (Floyd-Warshall).
+# Ties on hop count prefer lower accumulated delay, then the earliest switch
+# id, so the matrices are reproducible run to run. The pipeline itself needs
+# only the user switch's row: it reads topo.tree, the shortest-path tree from
+# s1, whose routes (topo.routes) here equal the matrix's. The topology
+# computes each once, on first use, and every later caller shares it.
 paths = topo.paths
 print("\nhop matrix (rows/cols:", ", ".join(paths.switch_ids), ")")
 print(paths.hops)

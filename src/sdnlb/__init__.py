@@ -2,10 +2,10 @@
 for software-defined networks.
 
 Pipeline: model the data plane as a switch graph, extract per-server
-(hops, delay) features via all-pairs shortest paths, partition servers into
-priority-ordered clusters (k-means++ or spectral), serve requests through
-per-cluster round-robin pools, and measure workload and throughput in a
-deterministic fair-share simulator.
+(hops, delay) features via the shortest-path tree from the user switch,
+partition servers into priority-ordered clusters (k-means++ or spectral),
+serve requests through per-cluster round-robin pools, and measure workload
+and throughput in a deterministic fair-share simulator.
 """
 
 from .allocator import (

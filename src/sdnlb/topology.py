@@ -1,12 +1,14 @@
-"""Data-plane topology model, all-pairs shortest paths, and server features.
+"""Data-plane topology model, shortest paths, and server features.
 
 A topology is an undirected graph of switches plus host nodes (one user host
 and any number of server hosts), each host hanging off exactly one switch.
 Shortest paths are computed over the switch graph only, minimizing hop count
 with accumulated delay as the tie-break; hosts are collapsed onto their
-attached switch. A Topology is immutable, so it computes its paths, routes,
-link capacities, features and fingerprint once, on first use, and every
-caller shares them.
+attached switch. The pipeline needs them from one source only: the tree
+from the user switch gives every route and feature. All-pairs paths
+(Floyd-Warshall) stay available for inspection. A Topology is immutable,
+so it computes its tree, routes, link capacities, features and fingerprint
+once, on first use, and every caller shares them.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ class Route(NamedTuple):
     path: tuple[str, ...]
     links: tuple[tuple[str, str], ...]
     delay_ms: float
+
+
+class Reach(NamedTuple):
+    """How user_switch reaches one switch (see Topology.tree)."""
+
+    hops: int
+    delay_ms: float
+    parent: str | None
 
 
 @dataclass(frozen=True)
@@ -245,8 +255,9 @@ class Topology:
 
     @cached_property
     def paths(self) -> PathMatrix:
-        """Shortest paths over the switch graph (see all_pairs_shortest_paths),
-        shared by every caller."""
+        """All-pairs shortest paths (see all_pairs_shortest_paths), for
+        inspection. Its routes follow next hops taken from other sources'
+        rows, so where routes tie it may pick another one than tree does."""
         return all_pairs_shortest_paths(self)
 
     @cached_property
@@ -255,21 +266,51 @@ class Topology:
         return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
 
     @cached_property
+    def tree(self) -> Mapping[str, Reach]:
+        """Shortest-path tree from user_switch over the switch graph, in
+        breadth-first order (read-only): fewest hops, then least delay.
+        A switch's parent is the least switch, in switch_ids order, among
+        its tied predecessors p: hops(p) + 1 and delay(p) + delay(p, v)
+        both equal its own. A lexicographic (hops, delay) Dijkstra whose
+        first key counts hops settles the graph one BFS layer at a time."""
+        index, adjacency, weight = self.switch_index, self.adjacency, {}
+        for link in self.links:
+            weight[link.a, link.b] = weight[link.b, link.a] = link.delay_ms
+        tree = {self.user_switch: Reach(0, 0.0, None)}
+        layer, hops = [self.user_switch], 0
+        while layer:
+            hops += 1
+            best: dict[str, tuple[float, int, str]] = {}
+            for parent in layer:
+                base, rank = tree[parent].delay_ms, index[parent]
+                for switch in adjacency[parent]:
+                    if switch in index and switch not in tree:
+                        offer = (base + weight[parent, switch], rank, parent)
+                        best[switch] = min(best.get(switch, offer), offer)
+            tree.update((s, Reach(hops, delay, parent)) for s, (delay, _, parent) in best.items())
+            layer = list(best)
+        return MappingProxyType(tree)
+
+    @cached_property
     def routes(self) -> Mapping[str, Route]:
-        """The route from user_switch to every switch, read off the shared
-        paths, so ties resolve as in PathMatrix.path (read-only)."""
-        paths, capacity = self.paths, self.capacity
-        routes = {}
-        for switch in self.switch_ids:
-            path = paths.path(self.user_switch, switch)
-            links = tuple((a, b) if (a, b) in capacity else (b, a) for a, b in zip(path, path[1:]))
-            routes[switch] = Route(path, links, paths.delay_between(self.user_switch, switch))
+        """The route from user_switch to every switch, walked down the tree
+        (read-only). Ties resolve by tree's rule: the least tied
+        predecessor, in switch_ids order. Every route extends its parent's,
+        and its delay is the left-to-right sum of its link delays."""
+        capacity, routes = self.capacity, {}
+        for switch, (_, delay, parent) in self.tree.items():
+            path, links = (switch,), ()
+            if parent is not None:
+                key = (parent, switch) if (parent, switch) in capacity else (switch, parent)
+                path, links = routes[parent].path + path, routes[parent].links + (key,)
+            routes[switch] = Route(path, links, delay)
         return MappingProxyType(routes)
 
     @cached_property
     def features(self) -> FeatureSet:
-        """Per-server (hops, delay) clustering features (see server_features)."""
-        return server_features(self, self.paths)
+        """Per-server (hops, delay) clustering features, read off the tree."""
+        reach = [self.tree[self.adjacency[s][0]] for s in self.server_ids]
+        return FeatureSet(tuple((float(r.hops), r.delay_ms) for r in reach), self.server_ids)
 
     @cached_property
     def _fingerprint(self) -> str:

@@ -409,3 +409,22 @@ BAD_TOPOLOGY_DOCUMENTS = {
         _paper_document_with("user_switch", "s2", False), "user host 'h1' is not attached to user_switch 's2'"
     ),
 }
+
+
+# Wall-clock bound on planning chain_document(1600) through either front end.
+# On a 2-core host the tree answers in about 0.13 s; all-pairs Floyd-Warshall
+# took about 64 s on the same chain.
+CHAIN_BOUND_S = 5.0
+
+
+def chain_document(n_switches: int) -> dict:
+    """A chain s1 - s2 - ... - sn with the user host u1 on s1 and one server
+    host v<i> on every switch s<i>: every hop count from 0 to n - 1 occurs."""
+    nodes = [{"id": "u1", "kind": "user_host"}]
+    links = [{"a": "u1", "b": "s1", "delay_ms": 0.0, "capacity_mbps": 100.0}]
+    for i in range(1, n_switches + 1):
+        nodes += [{"id": f"s{i}", "kind": "switch"}, {"id": f"v{i}", "kind": "server_host"}]
+        links.append({"a": f"v{i}", "b": f"s{i}", "delay_ms": 0.0, "capacity_mbps": 100.0})
+        if i < n_switches:
+            links.append({"a": f"s{i}", "b": f"s{i + 1}", "delay_ms": 5.0, "capacity_mbps": 100.0})
+    return {"nodes": nodes, "links": links, "user_switch": "s1"}

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,15 @@ from sdnlb.cli import main
 from sdnlb.service import make_server
 from sdnlb.topology import build_paper_topology
 
-from helpers import BAD_TOPOLOGY_DOCUMENTS, NON_DECIMAL_DIGIT_IDS, count_calls, paper_document_renamed
+from helpers import (
+    BAD_TOPOLOGY_DOCUMENTS,
+    CHAIN_BOUND_S,
+    NON_DECIMAL_DIGIT_IDS,
+    chain_document,
+    count_builds,
+    count_calls,
+    paper_document_renamed,
+)
 
 # sha256 of each paper-repro output at the default flags. The reference
 # topology's Laplacian has a threefold eigenvalue 1 across the k = 3
@@ -258,13 +267,52 @@ class TestOtherCommands:
         assert json.loads(capsys.readouterr().out)["method"] == method
         assert (len(pools), len(exports)) == (0, 0)
 
-    def test_cluster_spectral_computes_paths_once(self, monkeypatch, capsys):
+    def test_cluster_spectral_builds_the_tree_once(self, monkeypatch, capsys):
         import sdnlb.topology
 
-        calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        tree_builds = count_builds(monkeypatch, sdnlb.topology.Topology, "tree")
         assert main(["cluster", "--k", "3", "--method", "spectral"]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
+        assert len(tree_builds) == 1
+        assert paths_calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--method", "kmeans"],
+            ["cluster", "--method", "spectral"],
+            ["table1"],
+            ["experiment", "--state", "clustered"],
+            ["paper-repro"],
+        ],
+        ids=" ".join,
+    )
+    def test_front_ends_build_one_tree_and_no_path_matrix(self, argv, monkeypatch, tmp_path, capsys):
+        import sdnlb.topology
+
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        tree_builds = count_builds(monkeypatch, sdnlb.topology.Topology, "tree")
+        if argv == ["paper-repro"]:
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(tree_builds) == 1
+        assert paths_calls == []
+
+    def test_cluster_answers_a_1600_switch_chain_in_bounded_time(self, monkeypatch, tmp_path, capsys):
+        import sdnlb.topology
+
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_document(1600)))
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        start = time.perf_counter()
+        assert main(["cluster", "--method", "kmeans", "--topology", str(path)]) == 0
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["servers"]) == 1600
+        assert elapsed < CHAIN_BOUND_S
+        assert paths_calls == []
 
     @pytest.mark.parametrize("case", BAD_TOPOLOGY_DOCUMENTS)
     def test_cluster_on_bad_topology_exits_2(self, case, tmp_path, capsys):

@@ -25,7 +25,14 @@ from sdnlb.service import LoadBalancerService, ServiceError, _Handler, make_serv
 from sdnlb.topology import build_paper_topology
 
 import golden
-from helpers import BAD_TOPOLOGY_DOCUMENTS, NON_DECIMAL_DIGIT_IDS, count_calls, paper_document_renamed
+from helpers import (
+    BAD_TOPOLOGY_DOCUMENTS,
+    CHAIN_BOUND_S,
+    NON_DECIMAL_DIGIT_IDS,
+    chain_document,
+    count_calls,
+    paper_document_renamed,
+)
 
 TOPOLOGY_DOC = build_paper_topology().document()
 
@@ -327,6 +334,31 @@ class TestHttpEndpoints:
         stats = requests.get(f"{base}/stats")
         assert stats.status_code == 200
         assert stats.json()["total_requests"] == 30
+
+    def test_no_endpoint_runs_floyd_warshall(self, live_server, monkeypatch):
+        base, _ = live_server
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        assert requests.put(f"{base}/topology", json=TOPOLOGY_DOC).status_code == 200
+        for method in METHODS:
+            assert requests.get(f"{base}/clusters", params={"method": method}).status_code == 200
+            assert requests.get(f"{base}/pools").status_code == 200
+            assert requests.post(f"{base}/requests", json={"target": "auto", "count": 9}).status_code == 200
+        assert requests.get(f"{base}/stats").status_code == 200
+        assert paths_calls == []
+
+    def test_a_1600_switch_chain_is_clustered_in_bounded_time(self, live_server, monkeypatch):
+        base, _ = live_server
+        body = json.dumps(chain_document(1600))
+        paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        start = time.perf_counter()
+        put = requests.put(f"{base}/topology", data=body, headers={"Content-Type": "application/json"})
+        clusters = requests.get(f"{base}/clusters", params={"method": "kmeans"})
+        elapsed = time.perf_counter() - start
+        requests.put(f"{base}/topology", json=TOPOLOGY_DOC)  # later tests expect the paper topology
+        assert put.status_code == 200 and put.json()["servers"] == 1600
+        assert clusters.status_code == 200 and len(clusters.json()["servers"]) == 1600
+        assert elapsed < CHAIN_BOUND_S
+        assert paths_calls == []
 
     def test_error_bodies_carry_error_and_detail(self, live_server):
         base, _ = live_server

@@ -25,7 +25,6 @@ from sdnlb.simulator import (
     window_rate_cap_mbps,
 )
 from sdnlb.topology import (
-    PathMatrix,
     Topology,
     all_pairs_shortest_paths,
     build_paper_topology,
@@ -267,10 +266,11 @@ class TestRunExperiment:
         run_experiment(Scenario(topo, pools, ClusteredRR(7)))
         assert [p.cursor for p in pools.pools] == cursors
 
-    def test_experiments_share_one_path_matrix_and_fingerprint(self, monkeypatch):
-        # three states on one Topology: Floyd-Warshall, the routes, the
-        # capacity table and the document hash are built once, on first use,
-        # and every later experiment reuses them
+    def test_experiments_share_one_tree_and_fingerprint(self, monkeypatch):
+        # three states on one Topology: the tree from the user switch, the
+        # routes, the capacity table and the document hash are built once,
+        # on first use, and every later experiment reuses them; no
+        # experiment runs Floyd-Warshall
         import hashlib
         from types import SimpleNamespace
 
@@ -280,6 +280,7 @@ class TestRunExperiment:
         features = server_features(topo, all_pairs_shortest_paths(topo))
         pools = build_pools(kmeans_cluster(features, ClusteringConfig(k=3)), features)
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
+        tree_builds = count_builds(monkeypatch, Topology, "tree")
         route_builds = count_builds(monkeypatch, Topology, "routes")
         capacity_builds = count_builds(monkeypatch, Topology, "capacity")
         hashes = []
@@ -294,9 +295,9 @@ class TestRunExperiment:
             for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10))
         ]
         compare_reports(reports)
-        assert len(paths_calls) == 1
+        assert paths_calls == []
         assert len(hashes) == 1
-        assert route_builds == capacity_builds == [topo]
+        assert tree_builds == route_builds == capacity_builds == [topo]
 
     @pytest.mark.parametrize(
         "state_of, pools_served",
@@ -305,12 +306,13 @@ class TestRunExperiment:
     )
     def test_cost_does_not_grow_with_request_count(self, paper, monkeypatch, state_of, pools_served):
         # a million requests cost what a thousand do: no request is taken
-        # from a pool one by one, no flow is built, no path is walked again,
-        # and the filling takes as many rounds
+        # from a pool one by one, no flow is built, no tree or route is built
+        # again, and the filling takes as many rounds
         topo, pools = paper
         run_experiment(Scenario(topo, pools, state_of(1)))  # the first experiment builds the routes
         takes = count_calls(monkeypatch, Pool, "take")
-        walks = count_calls(monkeypatch, PathMatrix, "path")
+        tree_builds = count_builds(monkeypatch, Topology, "tree")
+        route_builds = count_builds(monkeypatch, Topology, "routes")
         flows = count_calls(monkeypatch, sdnlb.simulator, "build_flows")
         fill = sdnlb.simulator._fill_classes
         rounds = []
@@ -324,7 +326,7 @@ class TestRunExperiment:
         for requests in (10**3, 10**6):
             report = run_experiment(Scenario(topo, pools, state_of(requests)))
             assert sum(report.per_server_requests.values()) == requests * pools_served
-        assert takes == walks == flows == []
+        assert takes == tree_builds == route_builds == flows == []
         assert len(rounds) == 2 and rounds[0] == rounds[1] > 0
 
     def test_routes_and_capacity_wait_for_the_first_experiment(self):

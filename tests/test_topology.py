@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnlb.topology import (
+    Link,
     Node,
     NodeKind,
     Topology,
@@ -22,9 +23,12 @@ from helpers import (
     BAD_TOPOLOGY_DOCUMENTS,
     NON_DECIMAL_DIGIT_IDS,
     bfs_hop_matrix,
+    layered_topology,
     paper_document_renamed,
     random_connected_topology,
 )
+
+LAYERED_SHAPES = [(3, 2, 1), (4, 3, 2), (5, 4, 1), (6, 3, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +197,123 @@ class TestAllPairsShortestPaths:
         # both level-2 switches reach s4 at equal cost; the earlier id wins
         assert paths.path("s1", "s4") == ("s1", "s2", "s4")
         assert paths.path("s1", "s7") == ("s1", "s2", "s4", "s7")
+
+
+@st.composite
+def tied_graphs(draw) -> Topology:
+    """Random connected switch graphs on s1..sn, the user switch anywhere,
+    with unit delays (or, half the time, delays of 0, 0.5, 1 or 2 ms) so
+    that many routes tie in (hops, delay); every sum is exact."""
+    n = draw(st.integers(1, 14))
+    switches = [f"s{i}" for i in range(1, n + 1)]
+    pairs = {(draw(st.integers(0, j - 1)), j) for j in range(1, n)}
+    if n > 1:
+        pairs |= draw(st.sets(st.sampled_from([(i, j) for j in range(n) for i in range(j)]), max_size=20))
+    unit = draw(st.booleans())
+    user = draw(st.sampled_from(switches))
+    nodes = [Node(s, NodeKind.SWITCH) for s in switches] + [Node("u1", NodeKind.USER_HOST)]
+    links = [Link("u1", user, 0.0, 100.0)]
+    for i, j in sorted(pairs):
+        delay = 1.0 if unit else draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        links.append(Link(switches[i], switches[j], delay, 100.0))
+    return Topology(nodes=tuple(nodes), links=tuple(links), user_switch=user)
+
+
+def assert_tree_matches_floyd_warshall(topo: Topology) -> None:
+    paths = all_pairs_shortest_paths(topo)
+    user = topo.user_switch
+    assert list(topo.tree) == list(topo.routes) and set(topo.tree) == set(topo.switch_ids)
+    for switch, reach in topo.tree.items():
+        assert reach.hops == paths.hops_between(user, switch)
+        assert reach.delay_ms == topo.routes[switch].delay_ms == paths.delay_between(user, switch)
+        assert topo.routes[switch].path == paths.path(user, switch)
+    assert topo.features == server_features(topo, paths)
+
+
+def assert_tie_rule(topo: Topology) -> None:
+    """Hops are BFS hops; each delay is the least offer of a predecessor one
+    hop nearer, and the parent is the least such predecessor (switch_ids
+    order) that offers it; routes are prefix-closed and their delay is the
+    left-to-right sum of their link delays."""
+    tree, routes, index = topo.tree, topo.routes, topo.switch_index
+    delay = {link.key: link.delay_ms for link in topo.links}
+    bfs = bfs_hop_matrix(topo)[index[topo.user_switch]]
+    assert set(tree) == set(topo.switch_ids)
+    for switch, (hops, total, parent) in tree.items():
+        assert hops == bfs[index[switch]]
+        route = routes[switch]
+        assert route.path[-1] == switch and len(route.path) == len(route.links) + 1 == hops + 1
+        assert route.delay_ms == total
+        for i, (a, b) in enumerate(zip(route.path, route.path[1:])):
+            assert routes[route.path[i]].path == route.path[: i + 1]  # prefix-closed
+            assert route.links[i] == tuple(sorted((a, b), key=natural_key))
+        walked = 0.0
+        for key in route.links:
+            walked += delay[key]
+        assert walked == total  # the left-to-right sum
+        if parent is None:
+            assert switch == topo.user_switch and total == 0.0
+            continue
+        offers = {
+            p: tree[p].delay_ms + delay[tuple(sorted((p, switch), key=natural_key))]
+            for p in topo.adjacency[switch]
+            if p in index and tree[p].hops + 1 == hops
+        }
+        assert total == min(offers.values())
+        assert parent == min((p for p, d in offers.items() if d == total), key=index.__getitem__)
+
+
+class TestRouteTree:
+    """Topology.tree, the routes and features read off it, against
+    Floyd-Warshall and against the tie rule itself."""
+
+    def test_paper_topology_matches_floyd_warshall(self):
+        topo = build_paper_topology()
+        assert_tree_matches_floyd_warshall(topo)
+        assert topo.routes["s7"].path == ("s1", "s2", "s4", "s7")
+        assert topo.routes["s7"].links == (("s1", "s2"), ("s2", "s4"), ("s4", "s7"))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unit_delay_graphs_match_floyd_warshall(self, seed):
+        assert_tree_matches_floyd_warshall(random_connected_topology(seed, unit_delays=True))
+
+    @pytest.mark.parametrize("shape", LAYERED_SHAPES, ids=str)
+    def test_layered_shapes_match_floyd_warshall(self, shape):
+        assert_tree_matches_floyd_warshall(layered_topology(*shape))
+
+    def test_float_delays_match_floyd_warshall_within_rounding(self):
+        # Floyd-Warshall adds a route's delays in another order, which can
+        # move the last bit
+        for seed in range(100):
+            topo = random_connected_topology(seed)
+            paths = all_pairs_shortest_paths(topo)
+            for switch, reach in topo.tree.items():
+                assert reach.hops == paths.hops_between(topo.user_switch, switch)
+                assert reach.delay_ms == pytest.approx(paths.delay_between(topo.user_switch, switch), rel=1e-12)
+
+    def test_tied_route_follows_the_least_parent(self):
+        # spec: s7 has two tied predecessors, s6 and s8; the tree takes s6.
+        # Floyd-Warshall's next-hop walk takes s8
+        topo = random_connected_topology(851, unit_delays=True)
+        assert topo.routes["s7"].path == ("s1", "s10", "s6", "s7")
+        assert all_pairs_shortest_paths(topo).path("s1", "s7") == ("s1", "s2", "s8", "s7")
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_graphs())
+    def test_tie_rule(self, topo):
+        assert_tie_rule(topo)
+
+    def test_tie_rule_on_unit_delay_graphs(self):
+        for seed in range(200):
+            assert_tie_rule(random_connected_topology(seed, unit_delays=True))
+
+    def test_tree_routes_and_features_are_built_once_and_read_only(self):
+        topo = random_connected_topology(3)
+        assert topo.tree is topo.tree and topo.routes is topo.routes and topo.features is topo.features
+        with pytest.raises(TypeError):
+            topo.tree["s1"] = None
+        with pytest.raises(TypeError):
+            topo.routes["s1"] = None
 
 
 class TestServerFeatures:
