@@ -8,7 +8,7 @@ contributes three servers and sits one hop further from the user.
 
 import numpy as np
 
-from sdnlb import build_paper_topology
+from sdnlb import all_pairs_shortest_paths, build_paper_topology
 
 topo = build_paper_topology()
 
@@ -21,13 +21,12 @@ for link in topo.links:
     if link.a.startswith("s") and link.b.startswith("s"):
         print(f"  {link.a} - {link.b}  {link.delay_ms:g} ms  {link.capacity_mbps:g} Mbps")
 
-# Hop-minimal all-pairs shortest paths over the switch graph (Floyd-Warshall).
-# Ties on hop count prefer lower accumulated delay, then the earliest switch
-# id, so the matrices are reproducible run to run. The pipeline itself needs
-# only the user switch's row: it reads topo.tree, the shortest-path tree from
-# s1, whose routes (topo.routes) here equal the matrix's. The topology
-# computes each once, on first use, and every later caller shares it.
-paths = topo.paths
+# All-pairs shortest paths over the switch graph: fewest hops, then least
+# accumulated delay, each row the shortest-path tree from its switch. The
+# pipeline itself needs only the user switch's row, topo.tree, which the
+# topology built when it was validated; its routes (topo.routes) are exactly
+# the row's paths from s1.
+paths = all_pairs_shortest_paths(topo)
 print("\nhop matrix (rows/cols:", ", ".join(paths.switch_ids), ")")
 print(paths.hops)
 print("\naccumulated delay matrix (ms):")

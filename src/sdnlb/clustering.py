@@ -272,14 +272,13 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     cluster of their own and the rest share one. Clusters are then numbered
     by their servers' mean (hops, delay), as for k-means.
     """
-    adjacency = topology.switch_adjacency()
-    degrees = adjacency.sum(axis=1)
-    for sid, degree in zip(topology.switch_ids, degrees):
-        if degree == 0.0:
+    for sid, neighbours in zip(topology.switch_ids, topology.switch_links):
+        if not neighbours:
             raise ClusteringError(
                 f"switch '{sid}' has no switch links; spectral clustering needs degree >= 1"
             )
 
+    adjacency = topology.switch_adjacency()
     features = topology.features
     # each server's switch as a switch_ids row; bearing lists those rows once,
     # in switch_ids order, and row_of_server maps each server to its place there

@@ -2,13 +2,12 @@
 
 A topology is an undirected graph of switches plus host nodes (one user host
 and any number of server hosts), each host hanging off exactly one switch.
-Shortest paths are computed over the switch graph only, minimizing hop count
-with accumulated delay as the tie-break; hosts are collapsed onto their
-attached switch. The pipeline needs them from one source only: the tree
-from the user switch gives every route and feature. All-pairs paths
-(Floyd-Warshall) stay available for inspection. A Topology is immutable,
-so it computes its tree, routes, link capacities, features and fingerprint
-once, on first use, and every caller shares them.
+One rule (_shortest_paths_from: fewest hops, then least delay, then the
+least tied parent) picks every shortest path over the switch graph, hosts
+collapsed onto their switch. From the user switch it gives the
+tree that every route and feature is read off; from every switch it gives
+all_pairs_shortest_paths. A Topology is immutable, so it computes its
+indexes, tree, routes, features and fingerprint once and shares them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-_INF_HOPS = 10**9
 # Longest link delay accepted (about 11.6 days): path delays and their
 # squares in the clustering stay finite for any network that fits in memory.
 MAX_DELAY_MS = 1e9
@@ -171,16 +169,11 @@ class Topology:
                 f"user host '{user_hosts[0].id}' is not attached to user_switch '{self.user_switch}'"
             )
 
-        seen = {self.user_switch}
-        stack = [self.user_switch]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        unreachable = next((n.id for n in self.nodes if n.id not in seen), None)
-        if unreachable is not None:
-            raise TopologyError(f"graph is disconnected: node '{unreachable}' unreachable")
+        # the tree holds the reachable switches; a host hangs off one switch
+        tree = self.tree
+        for node in self.nodes:
+            if (node.id if node.kind is NodeKind.SWITCH else adjacency[node.id][0]) not in tree:
+                raise TopologyError(f"graph is disconnected: node '{node.id}' unreachable")
 
     # -- indexes and accessors (each built once, on first use) -------------
 
@@ -227,14 +220,24 @@ class Topology:
             raise TopologyError(f"'{host_id}' is a switch, not a host")
         return self.adjacency[host_id][0]
 
-    def switch_adjacency(self) -> np.ndarray:
-        """Binary adjacency matrix over switch_ids order."""
+    @cached_property
+    def switch_links(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """For each switch index, its (neighbour index, delay) pairs over the
+        switch graph, in link order (read-only)."""
         index = self.switch_index
-        adj = np.zeros((len(index), len(index)))
+        links: list[list[tuple[int, float]]] = [[] for _ in index]
         for link in self.links:
             if link.a in index and link.b in index:
                 i, j = index[link.a], index[link.b]
-                adj[i, j] = adj[j, i] = 1.0
+                links[i].append((j, link.delay_ms))
+                links[j].append((i, link.delay_ms))
+        return tuple(map(tuple, links))
+
+    def switch_adjacency(self) -> np.ndarray:
+        """Binary adjacency matrix over switch_ids order."""
+        adj = np.zeros((len(self.switch_ids),) * 2)
+        for i, neighbours in enumerate(self.switch_links):
+            adj[i, [j for j, _ in neighbours]] = 1.0
         return adj
 
     def document(self) -> dict:
@@ -254,49 +257,27 @@ class Topology:
         return {"nodes": nodes, "links": links, "user_switch": self.user_switch}
 
     @cached_property
-    def paths(self) -> PathMatrix:
-        """All-pairs shortest paths (see all_pairs_shortest_paths), for
-        inspection. Its routes follow next hops taken from other sources'
-        rows, so where routes tie it may pick another one than tree does."""
-        return all_pairs_shortest_paths(self)
-
-    @cached_property
     def capacity(self) -> Mapping[tuple[str, str], float]:
         """Capacity (Mbps) of every link, by link key (read-only)."""
         return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
 
     @cached_property
     def tree(self) -> Mapping[str, Reach]:
-        """Shortest-path tree from user_switch over the switch graph, in
-        breadth-first order (read-only): fewest hops, then least delay.
-        A switch's parent is the least switch, in switch_ids order, among
-        its tied predecessors p: hops(p) + 1 and delay(p) + delay(p, v)
-        both equal its own. A lexicographic (hops, delay) Dijkstra whose
-        first key counts hops settles the graph one BFS layer at a time."""
-        index, adjacency, weight = self.switch_index, self.adjacency, {}
-        for link in self.links:
-            weight[link.a, link.b] = weight[link.b, link.a] = link.delay_ms
-        tree = {self.user_switch: Reach(0, 0.0, None)}
-        layer, hops = [self.user_switch], 0
-        while layer:
-            hops += 1
-            best: dict[str, tuple[float, int, str]] = {}
-            for parent in layer:
-                base, rank = tree[parent].delay_ms, index[parent]
-                for switch in adjacency[parent]:
-                    if switch in index and switch not in tree:
-                        offer = (base + weight[parent, switch], rank, parent)
-                        best[switch] = min(best.get(switch, offer), offer)
-            tree.update((s, Reach(hops, delay, parent)) for s, (delay, _, parent) in best.items())
-            layer = list(best)
-        return MappingProxyType(tree)
+        """Shortest-path tree from user_switch by the one rule (see
+        _shortest_paths_from), breadth-first and read-only. Validation
+        builds it: it holds exactly the switches user_switch reaches."""
+        ids, source = self.switch_ids, self.switch_index[self.user_switch]
+        order, hops, delay, parent = _shortest_paths_from(self.switch_links, source)
+        return MappingProxyType(
+            {ids[v]: Reach(hops[v], delay[v], ids[parent[v]] if parent[v] >= 0 else None) for v in order}
+        )
 
     @cached_property
     def routes(self) -> Mapping[str, Route]:
         """The route from user_switch to every switch, walked down the tree
-        (read-only). Ties resolve by tree's rule: the least tied
-        predecessor, in switch_ids order. Every route extends its parent's,
-        and its delay is the left-to-right sum of its link delays."""
+        (read-only), so ties resolve by the one rule (see
+        _shortest_paths_from). Every route extends its parent's, and its
+        delay is the left-to-right sum of its link delays."""
         capacity, routes = self.capacity, {}
         for switch, (_, delay, parent) in self.tree.items():
             path, links = (switch,), ()
@@ -435,22 +416,51 @@ def build_paper_topology() -> Topology:
     return Topology(nodes=tuple(nodes), links=tuple(links), user_switch="s1")
 
 
-# -- all-pairs shortest paths ---------------------------------------------
+# -- shortest paths ---------------------------------------------------------
+
+
+def _shortest_paths_from(
+    switch_links: tuple[tuple[tuple[int, float], ...], ...], source: int
+) -> tuple[list[int], list[int], list[float], list[int]]:
+    """The shortest-path rule from switch index source: fewest hops, then
+    least delay (the left-to-right sum along the route); the parent is the
+    least index among the tied predecessors. It settles one BFS layer at a
+    time, each in ascending index order, and a later offer replaces an
+    earlier one only if its delay is strictly smaller. Returns the reached
+    switches in that order, then hops, delay and parent by switch index
+    (-1 hops and parent where unreached; -1 parent at source)."""
+    n = len(switch_links)
+    hops, delay, parent = [-1] * n, [0.0] * n, [-1] * n
+    hops[source] = 0
+    order, layer, depth = [source], [source], 0
+    while layer:
+        depth += 1
+        reached = []
+        for p in layer:
+            base = delay[p]
+            for v, d in switch_links[p]:
+                if hops[v] < 0:
+                    hops[v], delay[v], parent[v] = depth, base + d, p
+                    reached.append(v)
+                elif hops[v] == depth and base + d < delay[v]:
+                    delay[v], parent[v] = base + d, p
+        reached.sort()
+        order += reached
+        layer = reached
+    return order, hops, delay, parent
 
 
 @dataclass(frozen=True, eq=False)
 class PathMatrix:
-    """Floyd-Warshall result over the switch graph.
-
-    hops is the primary metric; delay_ms accumulates the link delays of the
-    chosen path; next_hop[i, j] is the switch index following i on the path
-    to j (-1 on the diagonal).
-    """
+    """All-pairs shortest paths over the switch graph (see
+    all_pairs_shortest_paths): hops[i, j] and delay_ms[i, j] of the route
+    from switch index i to j, and parent[i, j], the switch index before j
+    on that route (-1 on the diagonal)."""
 
     switch_ids: tuple[str, ...]
     hops: np.ndarray
     delay_ms: np.ndarray
-    next_hop: np.ndarray
+    parent: np.ndarray
     index: Mapping[str, int] = field(repr=False)
 
     def hops_between(self, a: str, b: str) -> int:
@@ -460,57 +470,30 @@ class PathMatrix:
         return float(self.delay_ms[self.index[a], self.index[b]])
 
     def path(self, a: str, b: str) -> tuple[str, ...]:
-        """Switch sequence from a to b inclusive, following next_hop."""
+        """Switch sequence from a to b inclusive: a's row of parent, from b."""
         i, j = self.index[a], self.index[b]
-        seq = [a]
-        steps = 0
-        while i != j:
-            i = int(self.next_hop[i, j])
-            if i < 0 or steps > len(self.switch_ids):
-                raise TopologyError(f"no recorded path from '{a}' to '{b}'")
-            seq.append(self.switch_ids[i])
-            steps += 1
-        return tuple(seq)
+        seq = [b]
+        while j != i:
+            j = int(self.parent[i, j])
+            seq.append(self.switch_ids[j])
+        return tuple(reversed(seq))
 
 
 def all_pairs_shortest_paths(topology: Topology) -> PathMatrix:
-    """Hop-minimal all-pairs shortest paths over the switch graph.
-
-    Ties on hop count prefer the smaller accumulated delay; remaining ties
-    keep the path routed through the earliest switch in natural id order
-    (intermediate switches are tried in that order), so the result is a
-    total, deterministic choice. Topology validation makes the switch graph
-    connected, so every pair has a path. The arrays are read-only.
-    """
-    ids = topology.switch_ids
+    """The one shortest-path rule (see _shortest_paths_from) run from every
+    switch: row i is the tree from switch i, so the user_switch row is
+    Topology.tree. Validation makes the switch graph connected, so every
+    pair has a path. The arrays are filled row by row and read-only."""
+    ids, links = topology.switch_ids, topology.switch_links
     n = len(ids)
-    index = topology.switch_index
-
-    hops = np.full((n, n), _INF_HOPS, dtype=np.int64)
-    delay = np.full((n, n), np.inf)
-    next_hop = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(hops, 0)
-    np.fill_diagonal(delay, 0.0)
-
-    for link in topology.links:
-        if link.a in index and link.b in index:
-            i, j = index[link.a], index[link.b]
-            hops[i, j] = hops[j, i] = 1
-            delay[i, j] = delay[j, i] = link.delay_ms
-            next_hop[i, j] = j
-            next_hop[j, i] = i
-
-    for m in range(n):
-        alt_hops = hops[:, m][:, None] + hops[m, :][None, :]
-        alt_delay = delay[:, m][:, None] + delay[m, :][None, :]
-        better = (alt_hops < hops) | ((alt_hops == hops) & (alt_delay < delay))
-        hops = np.where(better, alt_hops, hops)
-        delay = np.where(better, alt_delay, delay)
-        next_hop = np.where(better, next_hop[:, m][:, None], next_hop)
-
-    for array in (hops, delay, next_hop):
+    hops = np.empty((n, n), dtype=np.int64)
+    delay = np.empty((n, n))
+    parent = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        _, hops[i], delay[i], parent[i] = _shortest_paths_from(links, i)
+    for array in (hops, delay, parent):
         array.flags.writeable = False
-    return PathMatrix(switch_ids=ids, hops=hops, delay_ms=delay, next_hop=next_hop, index=index)
+    return PathMatrix(switch_ids=ids, hops=hops, delay_ms=delay, parent=parent, index=topology.switch_index)
 
 
 # -- clustering features ---------------------------------------------------

@@ -247,7 +247,7 @@ def per_flow_max_min_rates(
 def per_flow_experiment(scenario) -> tuple[dict[str, int], dict[str, float]]:
     """Per-server counts and bandwidth of a scenario the long way round:
     counts from the states' definition, one Flow per request (build_flows)
-    along the Floyd-Warshall paths, a rate per flow (max_min_fair_rates),
+    along the all-pairs paths, a rate per flow (max_min_fair_rates),
     summed per server."""
     topology = scenario.topology
     counts = request_counts_oracle(scenario.pools, scenario.state)
@@ -411,9 +411,10 @@ BAD_TOPOLOGY_DOCUMENTS = {
 }
 
 
-# Wall-clock bound on planning chain_document(1600) through either front end.
-# On a 2-core host the tree answers in about 0.13 s; all-pairs Floyd-Warshall
-# took about 64 s on the same chain.
+# Wall-clock bound on planning chain_document(1600) through either front end,
+# and on all_pairs_shortest_paths over chain_document(1000). On a 2-core host
+# the tree answers in about 0.13 s and the 1,000-switch all-pairs paths in
+# under a second; an O(V^3) all-pairs kernel took about 64 s on the 1,600 chain.
 CHAIN_BOUND_S = 5.0
 
 

@@ -335,7 +335,7 @@ class TestHttpEndpoints:
         assert stats.status_code == 200
         assert stats.json()["total_requests"] == 30
 
-    def test_no_endpoint_runs_floyd_warshall(self, live_server, monkeypatch):
+    def test_no_endpoint_computes_all_pairs_paths(self, live_server, monkeypatch):
         base, _ = live_server
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
         assert requests.put(f"{base}/topology", json=TOPOLOGY_DOC).status_code == 200

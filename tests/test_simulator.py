@@ -267,10 +267,11 @@ class TestRunExperiment:
         assert [p.cursor for p in pools.pools] == cursors
 
     def test_experiments_share_one_tree_and_fingerprint(self, monkeypatch):
-        # three states on one Topology: the tree from the user switch, the
-        # routes, the capacity table and the document hash are built once,
-        # on first use, and every later experiment reuses them; no
-        # experiment runs Floyd-Warshall
+        # three states on one Topology: validation built the tree from the
+        # user switch at load, so no experiment builds it; the routes, the
+        # capacity table and the document hash are built once, on first
+        # use, and every later experiment reuses them; no experiment
+        # computes all-pairs paths
         import hashlib
         from types import SimpleNamespace
 
@@ -297,7 +298,8 @@ class TestRunExperiment:
         compare_reports(reports)
         assert paths_calls == []
         assert len(hashes) == 1
-        assert tree_builds == route_builds == capacity_builds == [topo]
+        assert tree_builds == []
+        assert route_builds == capacity_builds == [topo]
 
     @pytest.mark.parametrize(
         "state_of, pools_served",

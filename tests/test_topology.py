@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sdnlb.topology import (
     Link,
     Node,
     NodeKind,
+    PathMatrix,
     Topology,
     TopologyError,
     all_pairs_shortest_paths,
@@ -21,8 +23,11 @@ from sdnlb.topology import (
 
 from helpers import (
     BAD_TOPOLOGY_DOCUMENTS,
+    CHAIN_BOUND_S,
     NON_DECIMAL_DIGIT_IDS,
     bfs_hop_matrix,
+    chain_document,
+    count_builds,
     layered_topology,
     paper_document_renamed,
     random_connected_topology,
@@ -172,7 +177,7 @@ class TestAllPairsShortestPaths:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
-    def test_next_hop_walk_matches_hops_and_delay(self, seed):
+    def test_path_walk_matches_hops_and_delay(self, seed):
         topo = random_connected_topology(seed)
         paths = all_pairs_shortest_paths(topo)
         delay = {link.key: link.delay_ms for link in topo.links}
@@ -188,7 +193,7 @@ class TestAllPairsShortestPaths:
 
     def test_arrays_are_read_only(self):
         paths = all_pairs_shortest_paths(random_connected_topology(5))
-        for array in (paths.hops, paths.delay_ms, paths.next_hop):
+        for array in (paths.hops, paths.delay_ms, paths.parent):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
 
@@ -197,6 +202,14 @@ class TestAllPairsShortestPaths:
         # both level-2 switches reach s4 at equal cost; the earlier id wins
         assert paths.path("s1", "s4") == ("s1", "s2", "s4")
         assert paths.path("s1", "s7") == ("s1", "s2", "s4", "s7")
+
+    def test_a_1000_switch_chain_in_bounded_time(self):
+        topo = load_topology(chain_document(1000))
+        start = time.perf_counter()
+        paths = all_pairs_shortest_paths(topo)
+        assert time.perf_counter() - start < CHAIN_BOUND_S
+        assert paths.hops_between("s1", "s1000") == paths.hops_between("s1000", "s1") == 999
+        assert paths.path("s1000", "s998") == ("s1000", "s999", "s998")
 
 
 @st.composite
@@ -219,93 +232,106 @@ def tied_graphs(draw) -> Topology:
     return Topology(nodes=tuple(nodes), links=tuple(links), user_switch=user)
 
 
-def assert_tree_matches_floyd_warshall(topo: Topology) -> None:
+def assert_user_row_is_the_tree(topo: Topology) -> None:
+    """The user switch's row of all_pairs_shortest_paths is Topology.tree,
+    exactly, and the routes and features read off the tree agree with it."""
     paths = all_pairs_shortest_paths(topo)
-    user = topo.user_switch
-    assert list(topo.tree) == list(topo.routes) and set(topo.tree) == set(topo.switch_ids)
-    for switch, reach in topo.tree.items():
-        assert reach.hops == paths.hops_between(user, switch)
-        assert reach.delay_ms == topo.routes[switch].delay_ms == paths.delay_between(user, switch)
-        assert topo.routes[switch].path == paths.path(user, switch)
-    assert topo.features == server_features(topo, paths)
+    user, ids, row = topo.user_switch, topo.switch_ids, topo.switch_index[topo.user_switch]
+    assert list(topo.tree) == list(topo.routes) and set(topo.tree) == set(ids)
+    for switch, (hops, delay, parent) in topo.tree.items():
+        j = topo.switch_index[switch]
+        assert hops == paths.hops_between(user, switch)
+        assert delay == topo.routes[switch].delay_ms == paths.delay_between(user, switch)
+        assert parent == (None if j == row else ids[paths.parent[row, j]])
+        path = paths.path(user, switch)
+        assert topo.routes[switch].path == path
+        assert topo.routes[switch].links == tuple(tuple(sorted(ab, key=natural_key)) for ab in zip(path, path[1:]))
+    if topo.server_ids:
+        assert topo.features == server_features(topo, paths)
 
 
-def assert_tie_rule(topo: Topology) -> None:
-    """Hops are BFS hops; each delay is the least offer of a predecessor one
-    hop nearer, and the parent is the least such predecessor (switch_ids
-    order) that offers it; routes are prefix-closed and their delay is the
-    left-to-right sum of their link delays."""
-    tree, routes, index = topo.tree, topo.routes, topo.switch_index
+def assert_tie_rule(topo: Topology, paths: PathMatrix, source: str) -> None:
+    """From source: hops are BFS hops; each delay is the least offer of a
+    predecessor one hop nearer, and the parent is the least such predecessor
+    (switch_ids order) that offers it; paths are prefix-closed and their
+    delay is the left-to-right sum of their link delays."""
+    ids, index, row = topo.switch_ids, topo.switch_index, topo.switch_index[source]
     delay = {link.key: link.delay_ms for link in topo.links}
-    bfs = bfs_hop_matrix(topo)[index[topo.user_switch]]
-    assert set(tree) == set(topo.switch_ids)
-    for switch, (hops, total, parent) in tree.items():
-        assert hops == bfs[index[switch]]
-        route = routes[switch]
-        assert route.path[-1] == switch and len(route.path) == len(route.links) + 1 == hops + 1
-        assert route.delay_ms == total
-        for i, (a, b) in enumerate(zip(route.path, route.path[1:])):
-            assert routes[route.path[i]].path == route.path[: i + 1]  # prefix-closed
-            assert route.links[i] == tuple(sorted((a, b), key=natural_key))
+    bfs = bfs_hop_matrix(topo)[row]
+    assert np.array_equal(paths.hops[row], bfs)
+    for switch in ids:
+        j = index[switch]
+        hops, total, parent = paths.hops[row, j], paths.delay_ms[row, j], paths.parent[row, j]
+        path = paths.path(source, switch)
+        assert path[0] == source and path[-1] == switch and len(path) == hops + 1
         walked = 0.0
-        for key in route.links:
-            walked += delay[key]
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            assert paths.path(source, path[i]) == path[: i + 1]  # prefix-closed
+            walked += delay[tuple(sorted((a, b), key=natural_key))]
         assert walked == total  # the left-to-right sum
-        if parent is None:
-            assert switch == topo.user_switch and total == 0.0
+        if switch == source:
+            assert parent == -1 and total == 0.0
             continue
         offers = {
-            p: tree[p].delay_ms + delay[tuple(sorted((p, switch), key=natural_key))]
+            p: paths.delay_ms[row, index[p]] + delay[tuple(sorted((p, switch), key=natural_key))]
             for p in topo.adjacency[switch]
-            if p in index and tree[p].hops + 1 == hops
+            if p in index and paths.hops[row, index[p]] + 1 == hops
         }
         assert total == min(offers.values())
-        assert parent == min((p for p, d in offers.items() if d == total), key=index.__getitem__)
+        assert ids[parent] == min((p for p, d in offers.items() if d == total), key=index.__getitem__)
+
+
+def assert_tie_rule_on_every_row(topo: Topology) -> None:
+    paths = all_pairs_shortest_paths(topo)
+    for source in topo.switch_ids:
+        assert_tie_rule(topo, paths, source)
 
 
 class TestRouteTree:
-    """Topology.tree, the routes and features read off it, against
-    Floyd-Warshall and against the tie rule itself."""
+    """Topology.tree, the routes and features read off it, against the user
+    row of all_pairs_shortest_paths; and every row against the tie rule."""
 
-    def test_paper_topology_matches_floyd_warshall(self):
+    def test_paper_topology_user_row_is_the_tree(self):
         topo = build_paper_topology()
-        assert_tree_matches_floyd_warshall(topo)
+        assert_user_row_is_the_tree(topo)
         assert topo.routes["s7"].path == ("s1", "s2", "s4", "s7")
         assert topo.routes["s7"].links == (("s1", "s2"), ("s2", "s4"), ("s4", "s7"))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_unit_delay_graphs_match_floyd_warshall(self, seed):
-        assert_tree_matches_floyd_warshall(random_connected_topology(seed, unit_delays=True))
+    def test_unit_delay_user_row_is_the_tree(self, seed):
+        assert_user_row_is_the_tree(random_connected_topology(seed, unit_delays=True))
 
     @pytest.mark.parametrize("shape", LAYERED_SHAPES, ids=str)
-    def test_layered_shapes_match_floyd_warshall(self, shape):
-        assert_tree_matches_floyd_warshall(layered_topology(*shape))
+    def test_layered_user_row_is_the_tree(self, shape):
+        assert_user_row_is_the_tree(layered_topology(*shape))
 
-    def test_float_delays_match_floyd_warshall_within_rounding(self):
-        # Floyd-Warshall adds a route's delays in another order, which can
-        # move the last bit
+    def test_float_delay_user_row_is_the_tree(self):
         for seed in range(100):
-            topo = random_connected_topology(seed)
-            paths = all_pairs_shortest_paths(topo)
-            for switch, reach in topo.tree.items():
-                assert reach.hops == paths.hops_between(topo.user_switch, switch)
-                assert reach.delay_ms == pytest.approx(paths.delay_between(topo.user_switch, switch), rel=1e-12)
+            assert_user_row_is_the_tree(random_connected_topology(seed))
 
     def test_tied_route_follows_the_least_parent(self):
-        # spec: s7 has two tied predecessors, s6 and s8; the tree takes s6.
-        # Floyd-Warshall's next-hop walk takes s8
+        # spec: s7 has two tied predecessors, s6 and s8; every route from s1
+        # takes the least, s6
         topo = random_connected_topology(851, unit_delays=True)
         assert topo.routes["s7"].path == ("s1", "s10", "s6", "s7")
-        assert all_pairs_shortest_paths(topo).path("s1", "s7") == ("s1", "s2", "s8", "s7")
+        assert all_pairs_shortest_paths(topo).path("s1", "s7") == ("s1", "s10", "s6", "s7")
+
+    @pytest.mark.parametrize("seed", [851, 1189, 1585])
+    def test_every_path_from_the_user_is_its_route(self, seed):
+        topo = random_connected_topology(seed, unit_delays=True)
+        paths = all_pairs_shortest_paths(topo)
+        for switch in topo.switch_ids:
+            assert paths.path(topo.user_switch, switch) == topo.routes[switch].path
 
     @settings(max_examples=150, deadline=None)
     @given(tied_graphs())
     def test_tie_rule(self, topo):
-        assert_tie_rule(topo)
+        assert_user_row_is_the_tree(topo)
+        assert_tie_rule_on_every_row(topo)
 
     def test_tie_rule_on_unit_delay_graphs(self):
         for seed in range(200):
-            assert_tie_rule(random_connected_topology(seed, unit_delays=True))
+            assert_tie_rule_on_every_row(random_connected_topology(seed, unit_delays=True))
 
     def test_tree_routes_and_features_are_built_once_and_read_only(self):
         topo = random_connected_topology(3)
@@ -417,14 +443,13 @@ def test_topology_requires_one_user_host():
         Topology(nodes=nodes, links=links, user_switch="s1")
 
 
-def test_paths_features_and_fingerprint_are_computed_once():
+def test_tree_features_and_fingerprint_are_computed_once(monkeypatch):
+    tree_builds = count_builds(monkeypatch, Topology, "tree")
     topo = build_paper_topology()
-    assert topo.paths is topo.paths
-    assert topo.features is topo.features
+    assert tree_builds == [topo]  # validation builds the tree
+    assert topo.tree is topo.tree and topo.features is topo.features
     assert topo.features == server_features(topo, all_pairs_shortest_paths(topo))
-    assert np.array_equal(topo.paths.hops, all_pairs_shortest_paths(topo).hops)
-    with pytest.raises(ValueError, match="read-only"):
-        topo.paths.hops[0, 0] = 5
+    assert tree_builds == [topo]
     assert topo.fingerprint() == build_paper_topology().fingerprint()
 
 
@@ -446,7 +471,15 @@ def test_adjacency_and_switch_index_are_built_once_and_read_only():
     with pytest.raises(TypeError):
         topo.adjacency["s1"] = ()
     assert dict(topo.switch_index) == {s: i for i, s in enumerate(topo.switch_ids)}
-    assert topo.paths.index is topo.switch_index
+    assert all_pairs_shortest_paths(topo).index is topo.switch_index
+    assert topo.switch_links is topo.switch_links and isinstance(topo.switch_links, tuple)
+    by_switch = {s: [] for s in topo.switch_ids}
+    for l in topo.links:
+        if l.a in by_switch and l.b in by_switch:
+            by_switch[l.a].append((l.b, l.delay_ms))
+            by_switch[l.b].append((l.a, l.delay_ms))
+    assert [[(topo.switch_ids[j], d) for j, d in pairs] for pairs in topo.switch_links] == list(by_switch.values())
+    assert all(isinstance(pairs, tuple) for pairs in topo.switch_links)
     for node in topo.nodes:
         expected = sorted(
             [l.b for l in topo.links if l.a == node.id] + [l.a for l in topo.links if l.b == node.id],
