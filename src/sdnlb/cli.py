@@ -39,13 +39,15 @@ from .topology import (
 def _load(topology_path: str | None) -> Topology:
     if topology_path is None:
         return build_paper_topology()
-    with open(topology_path) as fh:
-        try:
-            document = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{topology_path}: the JSON document nests too deeply") from None
-        except ValueError as exc:  # bad syntax, or bytes that are not UTF-8
-            raise ValueError(f"{topology_path}: {exc}") from None
+    # bytes, as PUT /topology reads them: json detects the encoding, so the
+    # locale's encoding plays no part
+    raw = Path(topology_path).read_bytes()
+    try:
+        document = json.loads(raw)
+    except RecursionError:
+        raise ValueError(f"{topology_path}: the JSON document nests too deeply") from None
+    except ValueError as exc:  # bad syntax, or bytes that are not UTF-8
+        raise ValueError(f"{topology_path}: {exc}") from None
     return load_topology(document)
 
 

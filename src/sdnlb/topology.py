@@ -6,8 +6,9 @@ One rule (_shortest_paths_from: fewest hops, then least delay, then the
 least tied parent) picks every shortest path over the switch graph, hosts
 collapsed onto their switch. From the user switch it gives the
 tree that every route and feature is read off; from every switch it gives
-all_pairs_shortest_paths. A Topology is immutable, so it computes its
-indexes, tree, routes, features and fingerprint once and shares them.
+all_pairs_shortest_paths. A Topology is immutable: validation builds its
+indexes and tree in one pass per section, and its routes, features and
+fingerprint are built once, on first use, and shared.
 """
 
 from __future__ import annotations
@@ -117,95 +118,119 @@ class Reach(NamedTuple):
 
 @dataclass(frozen=True)
 class Topology:
+    """A validated topology. Validation sorts each section once by natural
+    id (links by their end pair), walks the nodes and then the links once,
+    and sets the fields below from what those walks index; the mappings
+    other than node_map are read-only views."""
+
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     user_switch: str
+    node_map: dict[str, Node] = field(init=False, repr=False, compare=False)
+    # neighbour ids of every node, in link order
+    adjacency: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    switch_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # position of each switch in switch_ids
+    switch_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    # for each switch index, its (neighbour index, delay) pairs over the
+    # switch graph, in link order
+    switch_links: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False, compare=False)
+    server_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    user_host_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=lambda n: natural_key(n.id)))
-        )
-        object.__setattr__(
-            self, "links", tuple(sorted(self.links, key=lambda l: (natural_key(l.a), natural_key(l.b))))
-        )
+        # each id's natural key once; the link sort then compares ranks,
+        # which ids with tied keys (h1, h01) share, so it orders exactly as
+        # the key pairs do
+        ids = [n.id for n in self.nodes]
+        keys = [natural_key(i) for i in ids]
+        order = sorted(range(len(ids)), key=keys.__getitem__)
+        rank, previous = {}, None
+        for position, i in enumerate(order):
+            if keys[i] != previous:
+                first, previous = position, keys[i]
+            rank[ids[i]] = first
+        span = len(ids)
+        try:
+            links = sorted(self.links, key=lambda l: rank[l.a] * span + rank[l.b])
+        except KeyError:  # an end that is no node; validation names the first
+            links = sorted(self.links, key=lambda l: (natural_key(l.a), natural_key(l.b)))
+        object.__setattr__(self, "nodes", tuple(self.nodes[i] for i in order))
+        object.__setattr__(self, "links", tuple(links))
         self._validate()
 
     def _validate(self) -> None:
-        node_map = self.node_map
-        if len(node_map) != len(self.nodes):
-            duplicate = next(i for i, c in Counter(n.id for n in self.nodes).items() if c > 1)
+        """Check every invariant, the first failure raising, and keep the
+        indexes built on the way: one pass over the nodes, one over the
+        links, then the tree."""
+        nodes, user_switch = self.nodes, self.user_switch
+        node_map = {n.id: n for n in nodes}
+        if len(node_map) != len(nodes):
+            duplicate = next(i for i, c in Counter(n.id for n in nodes).items() if c > 1)
             raise TopologyError(f"duplicate node id '{duplicate}'")
+        switch_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SWITCH)
+        switch_index = {s: i for i, s in enumerate(switch_ids)}
 
+        # one pass over the links checks their ends and indexes them
+        neighbours: dict[str, list[str]] = {n.id: [] for n in nodes}
+        switch_links: list[list[tuple[int, float]]] = [[] for _ in switch_ids]
         pairs: set[tuple[str, str]] = set()
         for link in self.links:
-            for end in (link.a, link.b):
-                if end not in node_map:
-                    raise TopologyError(f"link {link.a}-{link.b} references unknown node id '{end}'")
-            if link.key in pairs:
-                raise TopologyError(f"duplicate link between '{link.a}' and '{link.b}'")
-            pairs.add(link.key)
+            a, b = link.a, link.b
+            at_a, at_b = neighbours.get(a), neighbours.get(b)
+            if at_a is None or at_b is None:
+                raise TopologyError(f"link {a}-{b} references unknown node id '{a if at_a is None else b}'")
+            if (a, b) in pairs:
+                raise TopologyError(f"duplicate link between '{a}' and '{b}'")
+            pairs.add((a, b))
+            at_a.append(b)
+            at_b.append(a)
+            if a in switch_index and b in switch_index:
+                i, j = switch_index[a], switch_index[b]
+                switch_links[i].append((j, link.delay_ms))
+                switch_links[j].append((i, link.delay_ms))
+        adjacency = {i: tuple(v) for i, v in neighbours.items()}
 
-        if self.user_switch not in node_map:
-            raise TopologyError(f"user_switch '{self.user_switch}' is not a node")
-        if node_map[self.user_switch].kind is not NodeKind.SWITCH:
-            raise TopologyError(f"user_switch '{self.user_switch}' must be a switch")
+        if user_switch not in node_map:
+            raise TopologyError(f"user_switch '{user_switch}' is not a node")
+        if node_map[user_switch].kind is not NodeKind.SWITCH:
+            raise TopologyError(f"user_switch '{user_switch}' must be a switch")
 
-        user_hosts = [n for n in self.nodes if n.kind is NodeKind.USER_HOST]
+        user_hosts = [n for n in nodes if n.kind is NodeKind.USER_HOST]
         if len(user_hosts) != 1:
             raise TopologyError(f"expected exactly one user_host, found {len(user_hosts)}")
 
-        adjacency = self.adjacency
-        for node in self.nodes:
+        for node in nodes:
             if node.kind is NodeKind.SWITCH:
                 continue
-            neighbours = adjacency[node.id]
-            if len(neighbours) != 1:
-                raise TopologyError(f"host '{node.id}' must have exactly one link (has {len(neighbours)})")
-            if node_map[neighbours[0]].kind is not NodeKind.SWITCH:
-                raise TopologyError(f"host '{node.id}' must attach to a switch, not '{neighbours[0]}'")
+            attached = adjacency[node.id]
+            if len(attached) != 1:
+                raise TopologyError(f"host '{node.id}' must have exactly one link (has {len(attached)})")
+            if node_map[attached[0]].kind is not NodeKind.SWITCH:
+                raise TopologyError(f"host '{node.id}' must attach to a switch, not '{attached[0]}'")
 
-        if adjacency[user_hosts[0].id][0] != self.user_switch:
-            raise TopologyError(
-                f"user host '{user_hosts[0].id}' is not attached to user_switch '{self.user_switch}'"
-            )
+        if adjacency[user_hosts[0].id][0] != user_switch:
+            raise TopologyError(f"user host '{user_hosts[0].id}' is not attached to user_switch '{user_switch}'")
+
+        vars(self).update(
+            node_map=node_map,
+            adjacency=MappingProxyType(adjacency),
+            switch_ids=switch_ids,
+            switch_index=MappingProxyType(switch_index),
+            switch_links=tuple(map(tuple, switch_links)),
+            server_ids=tuple(n.id for n in nodes if n.kind is NodeKind.SERVER_HOST),
+            user_host_id=user_hosts[0].id,
+        )
 
         # the tree holds the reachable switches; a host hangs off one switch
         tree = self.tree
-        for node in self.nodes:
-            if (node.id if node.kind is NodeKind.SWITCH else adjacency[node.id][0]) not in tree:
-                raise TopologyError(f"graph is disconnected: node '{node.id}' unreachable")
+        if len(tree) < len(switch_ids):
+            unreachable = next(
+                n for n in nodes if (n.id if n.kind is NodeKind.SWITCH else adjacency[n.id][0]) not in tree
+            )
+            raise TopologyError(f"graph is disconnected: node '{unreachable.id}' unreachable")
 
-    # -- indexes and accessors (each built once, on first use) -------------
-
-    @cached_property
-    def node_map(self) -> dict[str, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
-        """Neighbour ids of every node, in link order (read-only)."""
-        neighbours: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            neighbours[link.a].append(link.b)
-            neighbours[link.b].append(link.a)
-        return MappingProxyType({i: tuple(v) for i, v in neighbours.items()})
-
-    @cached_property
-    def switch_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.kind is NodeKind.SWITCH)
-
-    @cached_property
-    def switch_index(self) -> Mapping[str, int]:
-        """Position of each switch in switch_ids (read-only)."""
-        return MappingProxyType({s: i for i, s in enumerate(self.switch_ids)})
-
-    @cached_property
-    def server_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.kind is NodeKind.SERVER_HOST)
-
-    @cached_property
-    def user_host_id(self) -> str:
-        return next(n.id for n in self.nodes if n.kind is NodeKind.USER_HOST)
+    # -- accessors and views (each built once, on first use) ---------------
 
     @property
     def n_servers(self) -> int:
@@ -219,19 +244,6 @@ class Topology:
         if node.kind is NodeKind.SWITCH:
             raise TopologyError(f"'{host_id}' is a switch, not a host")
         return self.adjacency[host_id][0]
-
-    @cached_property
-    def switch_links(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """For each switch index, its (neighbour index, delay) pairs over the
-        switch graph, in link order (read-only)."""
-        index = self.switch_index
-        links: list[list[tuple[int, float]]] = [[] for _ in index]
-        for link in self.links:
-            if link.a in index and link.b in index:
-                i, j = index[link.a], index[link.b]
-                links[i].append((j, link.delay_ms))
-                links[j].append((i, link.delay_ms))
-        return tuple(map(tuple, links))
 
     def switch_adjacency(self) -> np.ndarray:
         """Binary adjacency matrix over switch_ids order."""
@@ -322,14 +334,17 @@ def load_topology(document: dict) -> Topology:
         if not isinstance(document[key], list):
             raise TopologyError(f"topology document '{key}' must be a list")
 
+    kinds = {kind.value: kind for kind in NodeKind}
     nodes = []
     for i, raw in enumerate(document["nodes"]):
         if not isinstance(raw, dict) or "id" not in raw or "kind" not in raw:
             raise TopologyError(f"node entry {raw!r} must carry 'id' and 'kind'")
-        node_id = _name(raw["id"], "nodes", i, "id")
+        node_id = raw["id"]
+        if not (isinstance(node_id, str) and node_id):
+            raise _not_a_name(node_id, f"nodes[{i}].id")
         try:
-            kind = NodeKind(raw["kind"])
-        except ValueError:
+            kind = kinds[raw["kind"]]
+        except (KeyError, TypeError):  # TypeError: an unhashable kind
             raise TopologyError(f"node '{node_id}': unknown kind '{raw['kind']}'") from None
         level, label = raw.get("level"), raw.get("label")
         if level is not None and (not isinstance(level, int) or isinstance(level, bool)):
@@ -338,27 +353,35 @@ def load_topology(document: dict) -> Topology:
             raise TopologyError(f"node '{node_id}': label must be a string or null, got {label!r}")
         nodes.append(Node(id=node_id, kind=kind, level=level, label=label))
 
+    required = {"a", "b", "delay_ms", "capacity_mbps"}
     links = []
     for i, raw in enumerate(document["links"]):
-        if not isinstance(raw, dict) or not {"a", "b", "delay_ms", "capacity_mbps"} <= raw.keys():
+        if not isinstance(raw, dict) or not required <= raw.keys():
             raise TopologyError(
                 f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'"
             )
-        a, b = _name(raw["a"], "links", i, "a"), _name(raw["b"], "links", i, "b")
-        links.append(Link(a, b, _real(raw, "delay_ms", a, b), _real(raw, "capacity_mbps", a, b)))
+        a, b, delay, capacity = raw["a"], raw["b"], raw["delay_ms"], raw["capacity_mbps"]
+        if not (isinstance(a, str) and a):
+            raise _not_a_name(a, f"links[{i}].a")
+        if not (isinstance(b, str) and b):
+            raise _not_a_name(b, f"links[{i}].b")
+        if type(delay) is not float:
+            delay = _real(delay, "delay_ms", a, b)
+        if type(capacity) is not float:
+            capacity = _real(capacity, "capacity_mbps", a, b)
+        links.append(Link(a, b, delay, capacity))
 
-    return Topology(tuple(nodes), tuple(links), _name(document["user_switch"], "user_switch"))
+    user_switch = document["user_switch"]
+    if not (isinstance(user_switch, str) and user_switch):
+        raise _not_a_name(user_switch, "user_switch")
+    return Topology(tuple(nodes), tuple(links), user_switch)
 
 
-def _name(value, section: str, index: int | None = None, key: str = "") -> str:
-    if isinstance(value, str) and value:
-        return value
-    element = section if index is None else f"{section}[{index}].{key}"
-    raise TopologyError(f"{element} must be a non-empty string, got {value!r}")
+def _not_a_name(value, element: str) -> TopologyError:
+    return TopologyError(f"{element} must be a non-empty string, got {value!r}")
 
 
-def _real(raw: dict, key: str, a: str, b: str) -> float:
-    value = raw[key]
+def _real(value, key: str, a: str, b: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TopologyError(f"link {a}-{b}: {key} must be a number, got {value!r}")
     try:

@@ -6,8 +6,9 @@ import itertools
 import math
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,10 @@ from sdnlb.topology import (
     Link,
     Node,
     NodeKind,
+    Reach,
     Topology,
+    TopologyError,
+    _shortest_paths_from,
     all_pairs_shortest_paths,
     build_paper_topology,
     natural_key,
@@ -429,3 +433,167 @@ def chain_document(n_switches: int) -> dict:
         if i < n_switches:
             links.append({"a": f"s{i}", "b": f"s{i + 1}", "delay_ms": 5.0, "capacity_mbps": 100.0})
     return {"nodes": nodes, "links": links, "user_switch": "s1"}
+
+
+# -- a reference loader, the differential oracle for load_topology --------
+
+
+class LoadedTopology(NamedTuple):
+    """What a load decides: the sorted sections and the indexes read off
+    them (adjacency and tree as plain dicts; features None without servers,
+    where building them raises)."""
+
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+    adjacency: dict[str, tuple[str, ...]]
+    switch_links: tuple[tuple[tuple[int, float], ...], ...]
+    tree: dict[str, Reach]
+    features: FeatureSet | None
+
+
+def loaded(topology: Topology) -> LoadedTopology:
+    return LoadedTopology(
+        topology.nodes,
+        topology.links,
+        dict(topology.adjacency),
+        topology.switch_links,
+        dict(topology.tree),
+        topology.features if topology.server_ids else None,
+    )
+
+
+def load_outcome(load, document):
+    """load(document) as a LoadedTopology, or the (type, message) it raised."""
+    try:
+        result = load(document)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any failure
+        return type(exc), str(exc)
+    return result if isinstance(result, LoadedTopology) else loaded(result)
+
+
+def reference_load_topology(document) -> LoadedTopology:
+    """Reference loader: convert each element, sort each section by
+    natural key (links by the key pair), then validate and build each index
+    in a walk of its own. load_topology must give the same result or raise
+    the same TopologyError message."""
+    if not isinstance(document, dict):
+        raise TopologyError("topology document must be a mapping")
+    for key in ("nodes", "links", "user_switch"):
+        if key not in document:
+            raise TopologyError(f"topology document missing required key '{key}'")
+
+    for key in ("nodes", "links"):
+        if not isinstance(document[key], list):
+            raise TopologyError(f"topology document '{key}' must be a list")
+
+    nodes = []
+    for i, raw in enumerate(document["nodes"]):
+        if not isinstance(raw, dict) or "id" not in raw or "kind" not in raw:
+            raise TopologyError(f"node entry {raw!r} must carry 'id' and 'kind'")
+        node_id = _reference_name(raw["id"], "nodes", i, "id")
+        try:
+            kind = NodeKind(raw["kind"])
+        except ValueError:
+            raise TopologyError(f"node '{node_id}': unknown kind '{raw['kind']}'") from None
+        level, label = raw.get("level"), raw.get("label")
+        if level is not None and (not isinstance(level, int) or isinstance(level, bool)):
+            raise TopologyError(f"node '{node_id}': level must be an integer")
+        if label is not None and not isinstance(label, str):
+            raise TopologyError(f"node '{node_id}': label must be a string or null, got {label!r}")
+        nodes.append(Node(id=node_id, kind=kind, level=level, label=label))
+
+    links = []
+    for i, raw in enumerate(document["links"]):
+        if not isinstance(raw, dict) or not {"a", "b", "delay_ms", "capacity_mbps"} <= raw.keys():
+            raise TopologyError(
+                f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'"
+            )
+        a, b = _reference_name(raw["a"], "links", i, "a"), _reference_name(raw["b"], "links", i, "b")
+        links.append(Link(a, b, _reference_real(raw, "delay_ms", a, b), _reference_real(raw, "capacity_mbps", a, b)))
+
+    return _reference_topology(nodes, links, _reference_name(document["user_switch"], "user_switch"))
+
+
+def _reference_name(value, section: str, index: int | None = None, key: str = "") -> str:
+    if isinstance(value, str) and value:
+        return value
+    element = section if index is None else f"{section}[{index}].{key}"
+    raise TopologyError(f"{element} must be a non-empty string, got {value!r}")
+
+
+def _reference_real(raw: dict, key: str, a: str, b: str) -> float:
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TopologyError(f"link {a}-{b}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TopologyError(f"link {a}-{b}: {key} is too large for a float") from None
+
+
+def _reference_topology(nodes, links, user_switch: str) -> LoadedTopology:
+    nodes = tuple(sorted(nodes, key=lambda n: natural_key(n.id)))
+    links = tuple(sorted(links, key=lambda l: (natural_key(l.a), natural_key(l.b))))
+
+    node_map = {n.id: n for n in nodes}
+    if len(node_map) != len(nodes):
+        duplicate = next(i for i, c in Counter(n.id for n in nodes).items() if c > 1)
+        raise TopologyError(f"duplicate node id '{duplicate}'")
+
+    pairs: set[tuple[str, str]] = set()
+    for link in links:
+        for end in (link.a, link.b):
+            if end not in node_map:
+                raise TopologyError(f"link {link.a}-{link.b} references unknown node id '{end}'")
+        if link.key in pairs:
+            raise TopologyError(f"duplicate link between '{link.a}' and '{link.b}'")
+        pairs.add(link.key)
+
+    if user_switch not in node_map:
+        raise TopologyError(f"user_switch '{user_switch}' is not a node")
+    if node_map[user_switch].kind is not NodeKind.SWITCH:
+        raise TopologyError(f"user_switch '{user_switch}' must be a switch")
+
+    user_hosts = [n for n in nodes if n.kind is NodeKind.USER_HOST]
+    if len(user_hosts) != 1:
+        raise TopologyError(f"expected exactly one user_host, found {len(user_hosts)}")
+
+    neighbours: dict[str, list[str]] = {n.id: [] for n in nodes}
+    for link in links:
+        neighbours[link.a].append(link.b)
+        neighbours[link.b].append(link.a)
+    adjacency = {i: tuple(v) for i, v in neighbours.items()}
+    for node in nodes:
+        if node.kind is NodeKind.SWITCH:
+            continue
+        attached = adjacency[node.id]
+        if len(attached) != 1:
+            raise TopologyError(f"host '{node.id}' must have exactly one link (has {len(attached)})")
+        if node_map[attached[0]].kind is not NodeKind.SWITCH:
+            raise TopologyError(f"host '{node.id}' must attach to a switch, not '{attached[0]}'")
+
+    if adjacency[user_hosts[0].id][0] != user_switch:
+        raise TopologyError(f"user host '{user_hosts[0].id}' is not attached to user_switch '{user_switch}'")
+
+    switch_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SWITCH)
+    index = {s: i for i, s in enumerate(switch_ids)}
+    by_switch: list[list[tuple[int, float]]] = [[] for _ in index]
+    for link in links:
+        if link.a in index and link.b in index:
+            i, j = index[link.a], index[link.b]
+            by_switch[i].append((j, link.delay_ms))
+            by_switch[j].append((i, link.delay_ms))
+    switch_links = tuple(map(tuple, by_switch))
+
+    order, hops, delay, parent = _shortest_paths_from(switch_links, index[user_switch])
+    tree = {
+        switch_ids[v]: Reach(hops[v], delay[v], switch_ids[parent[v]] if parent[v] >= 0 else None) for v in order
+    }
+    for node in nodes:
+        if (node.id if node.kind is NodeKind.SWITCH else adjacency[node.id][0]) not in tree:
+            raise TopologyError(f"graph is disconnected: node '{node.id}' unreachable")
+
+    server_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SERVER_HOST)
+    reach = [tree[adjacency[s][0]] for s in server_ids]
+    features = FeatureSet(tuple((float(r.hops), r.delay_ms) for r in reach), server_ids) if reach else None
+    return LoadedTopology(nodes, links, adjacency, switch_links, tree, features)

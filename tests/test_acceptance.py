@@ -234,7 +234,7 @@ def test_apsp_oracle():
         assert np.allclose(paths.delay_ms, paths.delay_ms.T)
         for m in range(len(paths.switch_ids)):
             assert (paths.hops <= paths.hops[:, [m]] + paths.hops[[m], :]).all()
-    _ok("Floyd-Warshall hops equal BFS on 100 graphs (<= 30 switches); symmetric; triangle holds")
+    _ok("all-pairs shortest-path hops equal BFS on 100 graphs (<= 30 switches); symmetric; triangle holds")
 
 
 def test_load_formula_symmetry():

@@ -223,6 +223,30 @@ class TestExperiment:
         assert captured.err.startswith("error: ") and detail in captured.err
         assert captured.err.startswith(f"error: {path}: ")  # the message names the file
 
+    def test_utf8_topology_file_loads_under_an_ascii_locale(self, tmp_path):
+        # the file is read as bytes, as PUT /topology reads a body, so a
+        # non-ASCII label loads whatever encoding the locale names
+        doc = build_paper_topology().document()
+        doc["nodes"][1]["label"] = "交换机-ü"
+        utf8, escaped = tmp_path / "utf8.json", tmp_path / "escaped.json"
+        utf8.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        escaped.write_bytes(json.dumps(doc).encode("ascii"))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        src = str(Path(sdnlb.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for path in (utf8, escaped):
+            done = subprocess.run(
+                [sys.executable, "-m", "sdnlb", "cluster", "--topology", str(path), "--k", "3"],
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            assert (done.returncode, done.stderr) == (0, b""), done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_custom_topology_file(self, tmp_path):
         doc = build_paper_topology().document()
         topo_path = tmp_path / "topo.json"

@@ -1,6 +1,7 @@
 """Every entry point takes any mutated topology document to a result or to a
 named error, within a deadline: load_topology, PUT /topology (in process and
-over one persistent HTTP connection) and the CLI."""
+over one persistent HTTP connection) and the CLI. load_topology decides as
+the two-pass loader it replaced (helpers.reference_load_topology) did."""
 
 import contextlib
 import copy
@@ -8,6 +9,7 @@ import http.client
 import io
 import json
 import math
+import random
 import signal
 import threading
 
@@ -19,7 +21,14 @@ from sdnlb.cli import main
 from sdnlb.service import LoadBalancerService, ServiceError, make_server
 from sdnlb.topology import Topology, TopologyError, build_paper_topology, load_topology
 
-from helpers import random_connected_topology
+from helpers import (
+    BAD_TOPOLOGY_DOCUMENTS,
+    LoadedTopology,
+    layered_topology,
+    load_outcome,
+    random_connected_topology,
+    reference_load_topology,
+)
 
 DEADLINE_S = 10
 
@@ -176,3 +185,228 @@ def test_cli_exits_0_or_2_with_a_named_error(document, document_path):
             assert err.getvalue() == ""
             if argv[0] == "cluster":
                 assert all(math.isfinite(c["mean_delay_ms"]) for c in json.loads(out.getvalue())["centroids"])
+
+
+# -- load_topology against the two-pass loader it replaced -----------------
+
+
+def assert_loads_as_the_oracle(document):
+    """load_topology gives the oracle's sorted sections and indexes, or the
+    same error type and message."""
+    got, want = load_outcome(load_topology, document), load_outcome(reference_load_topology, document)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOPOLOGY_DOCUMENTS))
+def test_bad_documents_fail_as_the_oracle_does(case):
+    document, names = BAD_TOPOLOGY_DOCUMENTS[case]
+    error, message = assert_loads_as_the_oracle(document)
+    assert error is TopologyError and names in message
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=mutated_documents())
+def test_mutated_documents_load_as_the_oracle_loads_them(document):
+    assert_loads_as_the_oracle(document)
+
+
+def _shuffled(document: dict, seed: int) -> dict:
+    """The document with its nodes and links in a random order and some
+    link ends swapped: only the loader's sorts put them back."""
+    rnd = random.Random(seed)
+    document = copy.deepcopy(document)
+    for section in ("nodes", "links"):
+        rnd.shuffle(document[section])
+    for link in document["links"]:
+        if rnd.random() < 0.5:
+            link["a"], link["b"] = link["b"], link["a"]
+    return document
+
+
+GENERATED_DOCUMENTS = {
+    **{f"random-{seed}": random_connected_topology(seed).document() for seed in range(40)},
+    **{f"random-unit-{seed}": random_connected_topology(seed, unit_delays=True).document() for seed in range(20)},
+    **{
+        f"layered-{shape}": layered_topology(*shape).document()
+        for shape in ((2, 1, 1), (3, 2, 2), (4, 3, 2), (7, 6, 5))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_DOCUMENTS))
+def test_generated_documents_load_as_the_oracle_loads_them(name):
+    document = GENERATED_DOCUMENTS[name]
+    assert isinstance(assert_loads_as_the_oracle(document), LoadedTopology)
+    for seed in range(3):
+        assert assert_loads_as_the_oracle(_shuffled(document, seed)) == load_outcome(load_topology, document)
+
+
+def _paper(*edits) -> dict:
+    """The paper document with each edit (a function of it) applied."""
+    document = build_paper_topology().document()
+    for edit in edits:
+        edit(document)
+    return document
+
+
+def _node(node_id: str):
+    return lambda d: next(n for n in d["nodes"] if n["id"] == node_id)
+
+
+def _link(a: str, b: str):
+    return lambda d: next(l for l in d["links"] if (l["a"], l["b"]) == (a, b))
+
+
+def _set(at, key: str, value):
+    return lambda d: at(d).__setitem__(key, value)
+
+
+def _add_link(a: str, b: str, delay_ms=1.0):
+    return lambda d: d["links"].append({"a": a, "b": b, "delay_ms": delay_ms, "capacity_mbps": 100.0})
+
+
+def _add_node(node_id: str, kind: str):
+    return lambda d: d["nodes"].append({"id": node_id, "kind": kind})
+
+
+def _cut_switch(switch: str):
+    """Drop the switch's links to other switches; its hosts stay on it."""
+    return lambda d: d.update(
+        links=[l for l in d["links"] if switch not in (l["a"], l["b"]) or not l["a"].startswith("s")]
+    )
+
+
+# case -> (document with two faults, the error the first of them in the
+# oracle's order gives)
+TWO_FAULT_DOCUMENTS = {
+    "unknown-end-after-duplicate-link": (
+        _paper(_add_link("s7", "x1"), _add_link("s2", "s1")), "duplicate link between 's1' and 's2'"
+    ),
+    "unknown-end-before-duplicate-link": (
+        _paper(_add_link("s1", "x1"), _add_link("s7", "s5")), "link s1-x1 references unknown node id 'x1'"
+    ),
+    "both-ends-unknown": (_paper(_add_link("x2", "x1")), "link x1-x2 references unknown node id 'x1'"),
+    "duplicate-node-and-unknown-end": (
+        _paper(_add_node("s4", "switch"), _add_link("s1", "x1")), "duplicate node id 's4'"
+    ),
+    "self-loop-after-bad-delay": (
+        _paper(_set(_link("s1", "s2"), "delay_ms", -1.0), _add_link("s3", "s3")),
+        "link s1-s2: delay_ms must be within [0, 1e+09]",
+    ),
+    "bad-label-before-bad-kind": (
+        _paper(_set(_node("h1"), "label", 7), _set(_node("s2"), "kind", "router")),
+        "node 'h1': label must be a string or null, got 7",
+    ),
+    "unhashable-kind-and-bad-level": (
+        _paper(_set(_node("h2"), "kind", ["switch"]), _set(_node("h5"), "level", 0)),
+        "node 'h2': unknown kind '['switch']'",
+    ),
+    "mapping-kind": (_paper(_set(_node("s1"), "kind", {"switch": 1})), "node 's1': unknown kind '{'switch': 1}'"),
+    "user-switch-unknown-and-duplicate-link": (
+        _paper(lambda d: d.update(user_switch="s99"), _add_link("s2", "s1")), "duplicate link between 's1' and 's2'"
+    ),
+    "two-user-hosts-and-a-host-with-two-links": (
+        _paper(_set(_node("h5"), "kind", "user_host"), _add_link("h2", "s3")), "expected exactly one user_host, found 2"
+    ),
+    "host-with-two-links-and-a-cut-switch": (
+        _paper(_add_link("h3", "s6"), _cut_switch("s7")), "host 'h3' must have exactly one link (has 2)"
+    ),
+    "two-cut-switches": (
+        _paper(_cut_switch("s6"), _cut_switch("s7")), "graph is disconnected: node 'h8' unreachable"
+    ),
+    "one-cut-switch-and-its-host": (_paper(_cut_switch("s7")), "graph is disconnected: node 'h9' unreachable"),
+    "missing-user-switch-and-bad-node": (
+        _paper(lambda d: d.pop("user_switch"), _set(_node("s1"), "id", "")),
+        "topology document missing required key 'user_switch'",
+    ),
+    "bad-link-name-and-bad-capacity": (
+        _paper(_set(_link("s1", "s2"), "capacity_mbps", 0), _set(_link("s1", "s3"), "b", 3)),
+        "link s1-s2: capacity_mbps must be finite and > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_DOCUMENTS))
+def test_two_fault_documents_name_the_oracle_first_error(case):
+    document, message = TWO_FAULT_DOCUMENTS[case]
+    assert assert_loads_as_the_oracle(document) == (TopologyError, message)
+
+
+def _document(nodes: list[tuple[str, str]], links: list[tuple[str, str]], user_switch: str = "s1") -> dict:
+    return {
+        "nodes": [{"id": i, "kind": kind} for i, kind in nodes],
+        "links": [{"a": a, "b": b, "delay_ms": 1.0, "capacity_mbps": 100.0} for a, b in links],
+        "user_switch": user_switch,
+    }
+
+
+# ids whose natural keys tie (h1/h01, s2/s02), in document orders the
+# loader's stable sorts must keep
+TIED_NODES = [
+    ("s02", "switch"), ("h1", "server_host"), ("s2", "switch"),
+    ("h01", "server_host"), ("s1", "switch"), ("u1", "user_host"),
+]  # fmt: skip
+TIED_LINKS = [("s02", "s1"), ("h01", "s2"), ("s1", "s2"), ("s02", "h1"), ("u1", "s1"), ("s2", "s02")]
+
+
+def test_ids_with_tied_natural_keys_keep_the_oracle_order():
+    topo = load_topology(_document(TIED_NODES, TIED_LINKS))
+    assert_loads_as_the_oracle(_document(TIED_NODES, TIED_LINKS))
+    assert [n.id for n in topo.nodes] == ["h1", "h01", "s1", "s02", "s2", "u1"]
+    # ends whose keys tie keep the order given; a link sorts by its end pair
+    assert [l.key for l in topo.links] == [
+        ("h01", "s2"), ("h1", "s02"), ("s1", "s02"), ("s1", "s2"), ("s1", "u1"), ("s2", "s02"),
+    ]  # fmt: skip
+    assert topo.switch_ids == ("s1", "s02", "s2")
+    assert topo.features.server_ids == ("h1", "h01")
+    assert topo.adjacency["s02"] == ("h1", "s1", "s2")
+
+
+@pytest.mark.parametrize(
+    "nodes, links, message",
+    [
+        (
+            TIED_NODES + [("h1", "server_host"), ("h01", "server_host")],
+            TIED_LINKS,
+            "duplicate node id 'h1'",
+        ),
+        (
+            TIED_NODES[:1] + [("h01", "server_host"), ("h1", "server_host"), ("h1", "server_host")] + TIED_NODES[2:],
+            TIED_LINKS,
+            "duplicate node id 'h01'",  # its first place comes first, though h1 repeats first
+        ),
+        (TIED_NODES, TIED_LINKS + [("x1", "s1"), ("x01", "s1")], "link s1-x1 references unknown node id 'x1'"),
+        (TIED_NODES, TIED_LINKS + [("x01", "s1"), ("x1", "s1")], "link s1-x01 references unknown node id 'x01'"),
+    ],
+    ids=["duplicate-h1", "duplicate-h01-first", "unknown-x1-first", "unknown-x01-first"],
+)
+def test_first_error_among_tied_ids_is_the_oracle_first(nodes, links, message):
+    assert assert_loads_as_the_oracle(_document(nodes, links)) == (TopologyError, message)
+
+
+TIED_IDS = ["s1", "s01", "s2", "s02", "s10", "h1", "h01", "h2", "u1", "x1", "x01"]
+
+
+@st.composite
+def tied_documents(draw):
+    """A loadable document whose ids tie in pairs (s1/s01, s2/s02,
+    h1/h01), plus up to two nodes and three links drawn from tied and
+    unknown ids, in a random order with random link ends first."""
+    nodes = [
+        ("s1", "switch"), ("s01", "switch"), ("s2", "switch"), ("s02", "switch"),
+        ("u1", "user_host"), ("h1", "server_host"), ("h01", "server_host"),
+    ]  # fmt: skip
+    links = [("s1", "s01"), ("s01", "s2"), ("s2", "s02"), ("u1", "s1"), ("h1", "s2"), ("h01", "s02")]
+    kinds = st.sampled_from(["switch", "server_host", "user_host"])
+    nodes += draw(st.lists(st.tuples(st.sampled_from(TIED_IDS), kinds), max_size=2))
+    links += draw(st.lists(st.tuples(st.sampled_from(TIED_IDS), st.sampled_from(TIED_IDS)), max_size=3))
+    nodes, links = draw(st.permutations(nodes)), draw(st.permutations(links))
+    links = [(b, a) if draw(st.booleans()) else (a, b) for a, b in links]
+    return _document(nodes, links)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=tied_documents())
+def test_tied_id_documents_load_as_the_oracle_loads_them(document):
+    assert_loads_as_the_oracle(document)
