@@ -74,32 +74,37 @@ def effective_k(requested_k: int, n_points: int) -> int:
 # -- k-means++ core ---------------------------------------------------------
 
 
-def _d2_seed(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    """D²-sampling: first center uniform, later centers proportional to the
-    squared distance to the nearest chosen center. If all remaining mass is
-    zero (duplicate points), the next center is uniform among points."""
+def _d2_seed(points: np.ndarray, k: int, seeds: list[int]) -> np.ndarray:
+    """D²-sampling, one run per seed, all runs at once: first center
+    uniform, later centers proportional to the squared distance to the
+    nearest chosen center. If all remaining mass is zero (duplicate points),
+    the next center is uniform among points. Each run draws from its own
+    SplitMix64(seed) and sums its own row, so it picks what a lone run
+    would. Returns an (R, k, d) array, R = len(seeds)."""
     n = len(points)
     if not 1 <= k <= n:
         raise ClusteringError(f"cannot seed {k} centers from {n} points")
-    chosen = [rng.below(n)]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    for _ in range(k - 1):
-        total = float(d2.sum())
-        if total > 0.0:
-            u = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-            idx = min(idx, n - 1)
-        else:
-            idx = rng.below(n)
-        chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
-    return points[chosen].astype(float).copy()
+    rngs = [SplitMix64(seed) for seed in seeds]
+    chosen = np.empty((len(rngs), k), dtype=np.int64)
+    chosen[:, 0] = [rng.below(n) for rng in rngs]
+    d2 = ((points - points[chosen[:, 0], None]) ** 2).sum(axis=2)
+    for j in range(1, k):
+        totals = d2.sum(axis=1).tolist()
+        cumulative = np.cumsum(d2, axis=1)
+        for r, (rng, total) in enumerate(zip(rngs, totals)):
+            if total > 0.0:
+                u = rng.random() * total
+                chosen[r, j] = min(int(np.searchsorted(cumulative[r], u, side="right")), n - 1)
+            else:
+                chosen[r, j] = rng.below(n)
+        d2 = np.minimum(d2, ((points - points[chosen[:, j], None]) ** 2).sum(axis=2))
+    return points[chosen]
 
 
 def kmeanspp_seed(features: FeatureSet, k: int, rng_seed: int) -> np.ndarray:
     """Pick k initial centroids from the feature points (deterministic for a
     given rng_seed). Returns a (k, 2) array."""
-    return _d2_seed(features.array, k, SplitMix64(rng_seed))
+    return _d2_seed(features.array, k, [rng_seed])[0]
 
 
 def _reseed_empty(
@@ -120,33 +125,61 @@ def _reseed_empty(
 
 def _lloyd(
     points: np.ndarray, initial_centroids: np.ndarray
-) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """Lloyd refinement, at most MAX_ITERATIONS rounds, stopping at a fixed
-    point: an assignment that the round did not change. Returns
-    (assignment, sse, sse_trace)."""
-    k = len(initial_centroids)
+) -> list[tuple[np.ndarray, float, tuple[float, ...]]]:
+    """Lloyd refinement of R runs at once from (R, k, d) initial centroids.
+    Each run stops at its own fixed point (an assignment that the round did
+    not change) or after MAX_ITERATIONS rounds. A run at its fixed point is
+    recomputed unchanged until every run stops, but records no more rounds.
+    Each run does the float operations of a lone run in the same order, so
+    its result is bit-identical. (At d = 1 numpy's mean sums pairwise, not
+    in point order; the one such input here, spectral rows cut to the first
+    eigenvector, is all 1.0 or all -1.0, whose sums are exact either way.)
+    Returns each run's (assignment, sse, sse_trace)."""
+    runs, k, d = initial_centroids.shape
+    n = len(points)
     if k < 1:
         raise ClusteringError("need at least one initial centroid")
-    if k > len(points):
+    if k > n:
         raise ClusteringError("more initial centroids than points")
 
-    centroids = np.asarray(initial_centroids, dtype=float)
-    assignment = np.full(len(points), -1, dtype=np.int64)
-    trace: list[float] = []
+    centroids = initial_centroids
+    offsets = np.arange(runs)[:, None] * k  # run r's clusters are r*k .. r*k+k-1
+    coordinates = np.tile(points.ravel(), runs)  # the points' coordinates, once per run
+    assignment = np.full((runs, n), -1, dtype=np.int64)
+    traces: list[list[float]] = [[] for _ in range(runs)]
+    active = np.ones(runs, dtype=bool)
+    errors: dict[int, str] = {}
     for _ in range(MAX_ITERATIONS):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
-        if (np.bincount(new_assignment, minlength=k) == 0).any():
-            new_assignment = _reseed_empty(dist2, new_assignment, k)
-        centroids = np.stack([points[new_assignment == c].mean(axis=0) for c in range(k)])
-        sse = float(((points - centroids[new_assignment]) ** 2).sum())
-        if trace and sse > trace[-1] + 1e-9:
-            raise ClusteringError(f"Lloyd SSE increased from {trace[-1]} to {sse}")
-        trace.append(sse)
-        if np.array_equal(new_assignment, assignment):
-            break
+        diff = points[:, None, :] - centroids[:, None, :, :]
+        dist2 = np.square(diff, out=diff).sum(axis=3)
+        del diff  # the one (runs, n, k, d) array: gone before the next round makes its own
+        new_assignment = dist2.argmin(axis=2)  # ties go to the lowest index
+        counts = np.bincount((new_assignment + offsets).ravel(), minlength=runs * k).reshape(runs, k)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            new_assignment[r] = _reseed_empty(dist2[r], new_assignment[r], k)
+            counts[r] = np.bincount(new_assignment[r], minlength=k)
+        # each cluster's coordinate sums in point order, then one division,
+        # as points[mask].mean(axis=0) does for d >= 2
+        labels = (new_assignment + offsets).ravel()
+        bins = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=coordinates, minlength=runs * k * d).reshape(runs * k, d)
+        centroids = (sums / counts.reshape(runs * k, 1)).reshape(runs, k, d)
+        residual = points - np.take(centroids.reshape(runs * k, d), labels, axis=0).reshape(runs, n, d)
+        sse = np.square(residual, out=residual).reshape(runs, n * d).sum(axis=1).tolist()
+        for r in np.flatnonzero(active):
+            trace = traces[r]
+            if trace and sse[r] > trace[-1] + 1e-9:
+                errors[r] = f"Lloyd SSE increased from {trace[-1]} to {sse[r]}"
+                active[r] = False
+            else:
+                trace.append(sse[r])
+        active &= ~(new_assignment == assignment).all(axis=1)
         assignment = new_assignment
-    return assignment, sse, tuple(trace)
+        if not active.any():
+            break
+    if errors:  # the earliest run's, as if the runs went one after another
+        raise ClusteringError(errors[min(errors)])
+    return [(assignment[r], sse[r], tuple(traces[r])) for r in range(runs)]
 
 
 def lloyd(
@@ -155,7 +188,8 @@ def lloyd(
     """Run Lloyd refinement from the given centroids over raw features
     (config is accepted for symmetry with kmeans_cluster; nothing in it
     changes the refinement)."""
-    return _model_from(features.array, *_lloyd(features.array, initial_centroids))
+    initial = np.asarray(initial_centroids, dtype=float)[None]
+    return _model_from(features.array, *_lloyd(features.array, initial)[0])
 
 
 def _model_from(
@@ -180,17 +214,13 @@ def _model_from(
 def _best_of_restarts(
     points: np.ndarray, k: int, config: ClusteringConfig
 ) -> tuple[np.ndarray, float, tuple[float, ...]]:
-    """Seeded restarts; keeps the lowest-SSE run (ties: earliest restart).
-    Returns its (assignment, sse, sse_trace)."""
+    """RESTARTS seeded runs, seeded and refined together; keeps the
+    lowest-SSE run (ties: earliest restart). Returns its (assignment, sse,
+    sse_trace)."""
     seed_stream = SplitMix64(config.rng_seed)
-    best = None
-    for _ in range(RESTARTS):
-        rng = SplitMix64(seed_stream.next_u64())
-        initial = _d2_seed(points, k, rng)
-        result = _lloyd(points, initial)
-        if best is None or result[1] < best[1]:
-            best = result
-    return best
+    seeds = [seed_stream.next_u64() for _ in range(RESTARTS)]
+    runs = _lloyd(points, _d2_seed(points, k, seeds))
+    return min(runs, key=lambda run: run[1])  # min keeps the first of equals
 
 
 def kmeans_cluster(features: FeatureSet, config: ClusteringConfig) -> ClusterModel:

@@ -271,7 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._dispatch(lambda: methods[self.command](self))
 
-    do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = _route
+    do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _route
 
 
 _BUSY_BODY = json.dumps({"error": "busy", "detail": "too many open connections"}).encode()

@@ -47,12 +47,14 @@ class NodeKind(str, Enum):
 def natural_key(node_id: str) -> tuple:
     """Sort key ordering embedded decimal integers (the split's odd parts)
     numerically, h2 before h10; other digits, such as ² or ①, sort as text.
+    The id itself comes last, so the order is total: ids whose numbers tie
+    (h01, h1) sort by their text, and no sort depends on input order.
 
     Memoized with a bounded cache: links, topology sorting and the
     simulator's server sorts all ask again for the same few ids.
     """
     parts = re.split(r"(\d+)", node_id)
-    return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p)
+    return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p) + ((-1, node_id),)
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,12 @@ class Topology:
 
     def __post_init__(self):
         # each id's natural key once; the link sort then compares ranks,
-        # which ids with tied keys (h1, h01) share, so it orders exactly as
-        # the key pairs do
+        # which order exactly as the key pairs do (a repeated id, which
+        # validation refuses, keeps its last rank)
         ids = [n.id for n in self.nodes]
         keys = [natural_key(i) for i in ids]
         order = sorted(range(len(ids)), key=keys.__getitem__)
-        rank, previous = {}, None
-        for position, i in enumerate(order):
-            if keys[i] != previous:
-                first, previous = position, keys[i]
-            rank[ids[i]] = first
+        rank = {ids[i]: position for position, i in enumerate(order)}
         span = len(ids)
         try:
             links = sorted(self.links, key=lambda l: rank[l.a] * span + rank[l.b])

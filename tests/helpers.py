@@ -13,7 +13,15 @@ from typing import NamedTuple
 import numpy as np
 
 from sdnlb.allocator import Pool, PoolSet
-from sdnlb.clustering import ClusteringError, effective_k
+from sdnlb.clustering import (
+    MAX_ITERATIONS,
+    RESTARTS,
+    ClusteringConfig,
+    ClusteringError,
+    _reseed_empty,
+    effective_k,
+)
+from sdnlb.rng import SplitMix64
 from sdnlb.simulator import (
     DEFAULT_RTT_WINDOW_BYTES,
     BigClusterRR,
@@ -164,6 +172,82 @@ def brute_force_kmeans(features: FeatureSet, k: int) -> float:
             sse += float(((members - members.mean(axis=0)) ** 2).sum())
         best = min(best, sse)
     return best
+
+
+# -- the per-restart k-means core (oracle for clustering's batched core) -------
+#
+# These are the seeding, Lloyd and restart loop that clustering.py ran one
+# restart at a time before its restarts ran as one array pass. The batched
+# core must give the same assignment, the same SSE bits and the same trace
+# for every restart, so the same restart wins.
+
+
+def d2_seed_oracle(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
+    """D²-sampling of one run: first center uniform, later centers
+    proportional to the squared distance to the nearest chosen center;
+    uniform when all remaining mass is zero."""
+    n = len(points)
+    if not 1 <= k <= n:
+        raise ClusteringError(f"cannot seed {k} centers from {n} points")
+    chosen = [rng.below(n)]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(k - 1):
+        total = float(d2.sum())
+        if total > 0.0:
+            u = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
+            idx = min(idx, n - 1)
+        else:
+            idx = rng.below(n)
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].astype(float).copy()
+
+
+def lloyd_oracle(
+    points: np.ndarray, initial_centroids: np.ndarray
+) -> tuple[np.ndarray, float, tuple[float, ...]]:
+    """Lloyd refinement of one run, at most MAX_ITERATIONS rounds, stopping
+    at a fixed point. Returns (assignment, sse, sse_trace)."""
+    k = len(initial_centroids)
+    if k < 1:
+        raise ClusteringError("need at least one initial centroid")
+    if k > len(points):
+        raise ClusteringError("more initial centroids than points")
+
+    centroids = np.asarray(initial_centroids, dtype=float)
+    assignment = np.full(len(points), -1, dtype=np.int64)
+    trace: list[float] = []
+    for _ in range(MAX_ITERATIONS):
+        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
+        if (np.bincount(new_assignment, minlength=k) == 0).any():
+            new_assignment = _reseed_empty(dist2, new_assignment, k)
+        centroids = np.stack([points[new_assignment == c].mean(axis=0) for c in range(k)])
+        sse = float(((points - centroids[new_assignment]) ** 2).sum())
+        if trace and sse > trace[-1] + 1e-9:
+            raise ClusteringError(f"Lloyd SSE increased from {trace[-1]} to {sse}")
+        trace.append(sse)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return assignment, sse, tuple(trace)
+
+
+def restarts_oracle(
+    points: np.ndarray, k: int, config: ClusteringConfig
+) -> tuple[int, list[tuple[np.ndarray, float, tuple[float, ...]]]]:
+    """RESTARTS seeded runs, one after another. Returns the winner (lowest
+    SSE, ties: earliest restart) and every run's (assignment, sse,
+    sse_trace)."""
+    seed_stream = SplitMix64(config.rng_seed)
+    runs, best = [], None
+    for r in range(RESTARTS):
+        rng = SplitMix64(seed_stream.next_u64())
+        runs.append(lloyd_oracle(points, d2_seed_oracle(points, k, rng)))
+        if best is None or runs[r][1] < runs[best][1]:
+            best = r
+    return best, runs
 
 
 def is_max_min_fair(

@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnlb.clustering import (
     METHODS,
+    RESTARTS,
     ClusterModel,
     ClusteringConfig,
     ClusteringError,
@@ -23,6 +24,7 @@ from sdnlb.clustering import (
     spectral_embedding,
     sym_eigendecomposition,
 )
+from sdnlb.rng import SplitMix64
 from sdnlb.topology import (
     FeatureSet,
     TopologyError,
@@ -33,7 +35,7 @@ from sdnlb.topology import (
 )
 
 import golden
-from helpers import brute_force_kmeans, random_connected_topology
+from helpers import brute_force_kmeans, random_connected_topology, restarts_oracle
 
 
 @pytest.fixture(scope="module")
@@ -168,20 +170,20 @@ class TestLloyd:
 
     def test_stops_only_at_a_fixed_point(self):
         # near-duplicate points (1e-10 apart) move SSE by less than 1e-9 per
-        # round; Lloyd still runs until no point changes cluster
-        from sdnlb.clustering import _lloyd
+        # round; each of the runs refined together still runs until no point
+        # changes cluster, whenever the other runs stop
+        from sdnlb.clustering import _d2_seed, _lloyd
 
         for seed in range(300):
             rng = np.random.default_rng(seed)
             n, k = int(rng.integers(6, 21)), int(rng.integers(2, 5))
             base = rng.random((n // 3, 2))
-            features = feature_set(base[rng.integers(0, len(base), n)] + rng.integers(-1, 2, size=(n, 2)) * 1e-10)
-            points = features.array
-            assignment, _, trace = _lloyd(points, kmeanspp_seed(features, k, seed))
-            centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(k)])
-            nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
-            assert np.array_equal(nearest, assignment), seed
-            assert trace[-1] == trace[-2], seed  # the last round changed nothing
+            points = base[rng.integers(0, len(base), n)] + rng.integers(-1, 2, size=(n, 2)) * 1e-10
+            for assignment, _, trace in _lloyd(points, _d2_seed(points, k, [seed, seed + 300, seed + 600])):
+                centroids = np.stack([points[assignment == c].mean(axis=0) for c in range(k)])
+                nearest = ((points[:, None, :] - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+                assert np.array_equal(nearest, assignment), seed
+                assert trace[-1] == trace[-2], seed  # the last round changed nothing
 
     def test_sse_trace_is_monotone_non_increasing(self):
         rnd = random.Random(4)
@@ -211,6 +213,41 @@ class TestLloyd:
         with pytest.raises(ClusteringError, match="SSE increased from 0.0 to 50.0"):
             lloyd(features, initial, ClusteringConfig(k=3))
         assert len(calls) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "grid", "duplicates"]),
+        n=st.integers(1, 40),
+        d=st.integers(2, 10),
+        k=st.integers(1, 10),
+        rng_seed=st.integers(0, 2**64 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_restarts_match_the_per_restart_loop(self, shape, n, d, k, rng_seed, data_seed):
+        # the restarts run as one array pass; every run must do the same
+        # float operations in the same order as a lone run, bit for bit
+        from sdnlb.clustering import _best_of_restarts, _d2_seed, _lloyd
+
+        rng = np.random.default_rng(data_seed)
+        if shape == "random":
+            points = rng.random((n, d)) * 10.0 ** int(rng.integers(0, 7))
+        elif shape == "grid":
+            points = rng.integers(0, 4, (n, d)).astype(float)
+        else:  # k can exceed the distinct points: Lloyd reseeds empty clusters
+            base = rng.random((int(rng.integers(1, 4)), d))
+            points = base[rng.integers(0, len(base), n)]
+        k = min(k, n)
+        config = ClusteringConfig(k=k, rng_seed=rng_seed)
+        winner, expected = restarts_oracle(points, k, config)
+        stream = SplitMix64(rng_seed)
+        runs = _lloyd(points, _d2_seed(points, k, [stream.next_u64() for _ in range(RESTARTS)]))
+        assert len(runs) == len(expected)
+        for (assignment, sse, trace), (want_assignment, want_sse, want_trace) in zip(runs, expected):
+            assert np.array_equal(assignment, want_assignment)
+            assert sse == want_sse and trace == want_trace
+        assignment, sse, trace = _best_of_restarts(points, k, config)
+        assert np.array_equal(assignment, expected[winner][0])
+        assert (sse, trace) == expected[winner][1:]
 
     def test_best_of_50_seeds_reaches_brute_force_optimum(self):
         rnd = random.Random(99)

@@ -341,8 +341,8 @@ def _document(nodes: list[tuple[str, str]], links: list[tuple[str, str]], user_s
     }
 
 
-# ids whose natural keys tie (h1/h01, s2/s02), in document orders the
-# loader's stable sorts must keep
+# ids whose numbers tie (h1/h01, s2/s02), in a document order that differs
+# from their text order, which decides
 TIED_NODES = [
     ("s02", "switch"), ("h1", "server_host"), ("s2", "switch"),
     ("h01", "server_host"), ("s1", "switch"), ("u1", "user_host"),
@@ -353,14 +353,22 @@ TIED_LINKS = [("s02", "s1"), ("h01", "s2"), ("s1", "s2"), ("s02", "h1"), ("u1", 
 def test_ids_with_tied_natural_keys_keep_the_oracle_order():
     topo = load_topology(_document(TIED_NODES, TIED_LINKS))
     assert_loads_as_the_oracle(_document(TIED_NODES, TIED_LINKS))
-    assert [n.id for n in topo.nodes] == ["h1", "h01", "s1", "s02", "s2", "u1"]
-    # ends whose keys tie keep the order given; a link sorts by its end pair
+    assert [n.id for n in topo.nodes] == ["h01", "h1", "s1", "s02", "s2", "u1"]
+    # ends with tied numbers go in text order too; a link sorts by its end pair
     assert [l.key for l in topo.links] == [
-        ("h01", "s2"), ("h1", "s02"), ("s1", "s02"), ("s1", "s2"), ("s1", "u1"), ("s2", "s02"),
+        ("h01", "s2"), ("h1", "s02"), ("s1", "s02"), ("s1", "s2"), ("s1", "u1"), ("s02", "s2"),
     ]  # fmt: skip
     assert topo.switch_ids == ("s1", "s02", "s2")
-    assert topo.features.server_ids == ("h1", "h01")
+    assert topo.features.server_ids == ("h01", "h1")
     assert topo.adjacency["s02"] == ("h1", "s1", "s2")
+
+
+def test_a_link_given_with_its_ends_swapped_is_a_duplicate():
+    links = TIED_LINKS + [("s02", "s2")]
+    assert assert_loads_as_the_oracle(_document(TIED_NODES, links)) == (
+        TopologyError,
+        "duplicate link between 's02' and 's2'",
+    )
 
 
 @pytest.mark.parametrize(
@@ -369,14 +377,14 @@ def test_ids_with_tied_natural_keys_keep_the_oracle_order():
         (
             TIED_NODES + [("h1", "server_host"), ("h01", "server_host")],
             TIED_LINKS,
-            "duplicate node id 'h1'",
+            "duplicate node id 'h01'",  # h01 sorts first, though the document repeats h1 first
         ),
         (
             TIED_NODES[:1] + [("h01", "server_host"), ("h1", "server_host"), ("h1", "server_host")] + TIED_NODES[2:],
             TIED_LINKS,
-            "duplicate node id 'h01'",  # its first place comes first, though h1 repeats first
+            "duplicate node id 'h01'",
         ),
-        (TIED_NODES, TIED_LINKS + [("x1", "s1"), ("x01", "s1")], "link s1-x1 references unknown node id 'x1'"),
+        (TIED_NODES, TIED_LINKS + [("x1", "s1"), ("x01", "s1")], "link s1-x01 references unknown node id 'x01'"),
         (TIED_NODES, TIED_LINKS + [("x01", "s1"), ("x1", "s1")], "link s1-x01 references unknown node id 'x01'"),
     ],
     ids=["duplicate-h1", "duplicate-h01-first", "unknown-x1-first", "unknown-x01-first"],
@@ -410,3 +418,45 @@ def tied_documents(draw):
 @given(document=tied_documents())
 def test_tied_id_documents_load_as_the_oracle_loads_them(document):
     assert_loads_as_the_oracle(document)
+
+
+@st.composite
+def reordered_tied_documents(draw):
+    """A loadable document whose ids tie in their numbers (s1/s01, s2/s02,
+    h1/h01, h2/h02), with drawn link delays, and the same document with its
+    nodes, its links and each link's ends in drawn orders."""
+    nodes = [
+        ("s1", "switch"), ("s01", "switch"), ("s2", "switch"), ("s02", "switch"), ("s10", "switch"),
+        ("u1", "user_host"), ("h1", "server_host"), ("h01", "server_host"), ("h2", "server_host"),
+        ("h02", "server_host"),
+    ]  # fmt: skip
+    links = [
+        ("s1", "s01"), ("s01", "s2"), ("s2", "s02"), ("s02", "s10"), ("s10", "s1"), ("s1", "s2"),
+        ("u1", "s1"), ("h1", "s01"), ("h01", "s2"), ("h2", "s02"), ("h02", "s10"),
+    ]  # fmt: skip
+    document = _document(nodes, links)
+    for link in document["links"]:
+        link["delay_ms"] = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    reordered = copy.deepcopy(document)
+    reordered["nodes"] = draw(st.permutations(reordered["nodes"]))
+    reordered["links"] = draw(st.permutations(reordered["links"]))
+    for link in reordered["links"]:
+        if draw(st.booleans()):
+            link["a"], link["b"] = link["b"], link["a"]
+    return document, reordered
+
+
+@settings(max_examples=40, deadline=None)
+@given(documents=reordered_tied_documents(), k=st.integers(1, 4))
+def test_document_order_changes_neither_the_topology_nor_the_clusters(documents, k, document_path):
+    document, reordered = documents
+    assert load_topology(reordered) == load_topology(document)
+    outputs = []
+    for each in documents:
+        document_path.write_text(json.dumps(each))
+        for method in ("kmeans", "spectral"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["cluster", "--topology", str(document_path), "--k", str(k), "--method", method]) == 0
+            outputs.append(out.getvalue())
+    assert outputs[:2] == outputs[2:]

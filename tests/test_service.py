@@ -516,7 +516,7 @@ ROUTES = {"/topology": "PUT", "/clusters": "GET", "/pools": "GET", "/requests": 
 
 
 @pytest.mark.parametrize("path", [*ROUTES, "/nope"])
-@pytest.mark.parametrize("method", ["GET", "PUT", "POST", "DELETE", "PATCH"])
+@pytest.mark.parametrize("method", ["GET", "PUT", "POST", "DELETE", "PATCH", "OPTIONS"])
 def test_every_method_on_every_path_answers_json(live_server, path, method):
     base, _ = live_server
     out = requests.request(method, f"{base}{path}?k=3", json={})
@@ -549,7 +549,7 @@ def raw_exchange(base: str, request: bytes) -> tuple[str, dict, bytes]:
 @pytest.mark.parametrize(
     "request_line,status,detail",
     [
-        ("OPTIONS /stats HTTP/1.0", "501 Not Implemented", "Unsupported method ('OPTIONS')"),
+        ("TRACE /stats HTTP/1.0", "501 Not Implemented", "Unsupported method ('TRACE')"),
         ("FOO /stats HTTP/1.0", "501 Not Implemented", "Unsupported method ('FOO')"),
         ("GET /a b c HTTP/1.0", "400 Bad Request", "Bad request syntax ('GET /a b c HTTP/1.0')"),
     ],
@@ -582,9 +582,33 @@ def test_reply_without_a_usable_version_has_a_status_line(live_server, request_l
 def test_head_error_reply_has_no_body(live_server):
     base, _ = live_server
     status, headers, body = raw_exchange(base, b"HEAD /stats HTTP/1.0\r\n\r\n")
-    assert status == "HTTP/1.1 501 Not Implemented"
-    assert headers["Content-Type"] == "application/json"
+    assert status == "HTTP/1.1 405 Method Not Allowed"
+    assert (headers["Content-Type"], headers["Allow"]) == ("application/json", "GET")
+    # Content-Length counts the JSON body that a HEAD reply leaves out
+    assert int(headers["Content-Length"]) == len(b'{"error": "method not allowed", "detail": "HEAD /stats"}')
     assert body == b""
+
+
+def test_head_then_get_on_one_connection_get_both_replies(live_server):
+    base, _ = live_server
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=5)
+    try:
+        conn.connect()
+        sock = conn.sock
+        conn.request("HEAD", "/pools")
+        head = conn.getresponse()
+        assert (head.status, head.getheader("Allow"), head.read(), head.will_close) == (405, "GET", b"", False)
+        conn.request("GET", "/nope")
+        get = conn.getresponse()
+        assert (get.status, json.loads(get.read()), get.will_close) == (
+            404,
+            {"error": "not found", "detail": "/nope"},
+            False,
+        )
+        assert conn.sock is sock
+    finally:
+        conn.close()
 
 
 @pytest.mark.parametrize(

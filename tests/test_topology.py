@@ -387,12 +387,12 @@ class TestServerFeatures:
 
 
 def test_natural_key_orders_numeric_suffixes():
-    assert sorted(["h10", "h2", "h1", "s3"], key=natural_key) == ["h1", "h2", "h10", "s3"]
+    assert sorted(["h10", "h2", "h1", "s3", "h01"], key=natural_key) == ["h01", "h1", "h2", "h10", "s3"]
 
 
 def test_natural_key_sorts_non_decimal_digits_as_text():
-    assert natural_key("h1²") == ((1, "h"), (0, 1), (1, "²"))
-    assert natural_key("①") == ((1, "①"),)
+    assert natural_key("h1²") == ((1, "h"), (0, 1), (1, "²"), (-1, "h1²"))
+    assert natural_key("①") == ((1, "①"), (-1, "①"))
     assert sorted(["²", "h10", "h1²", "h1"], key=natural_key) == ["h1", "h1²", "h10", "²"]
 
 
@@ -421,7 +421,7 @@ def test_natural_key_memo_is_bounded():
     ids = [f"x{i}y" for i in range(maxsize + 500)]
     keys = [natural_key(i) for i in ids]
     assert natural_key.cache_info().currsize == maxsize
-    assert keys[0] == natural_key(ids[0]) == ((1, "x"), (0, 0), (1, "y"))  # recomputed after eviction
+    assert keys[0] == natural_key(ids[0]) == ((1, "x"), (0, 0), (1, "y"), (-1, "x0y"))  # recomputed after eviction
     assert natural_key.cache_info().currsize <= maxsize
     natural_key.cache_clear()
 
