@@ -3,11 +3,14 @@
 Staged in-memory state: a topology must be uploaded before clusters can be
 computed, and pools exist only once a plan does. One current plan is kept: a
 GET /clusters repeating its parameters returns its body unchanged, and other
-parameters replace it and rebuild the pools. A method a path does not
-serve gets 405 with an Allow header. One lock serializes all state changes.
+parameters replace it and rebuild the pools. The plan's GET /clusters and
+GET /pools bodies are encoded when that plan is first answered, and a repeated
+request is sent those bytes. A method a path does not serve gets 405 with an
+Allow header. One lock serializes all state changes.
 
 Connections are persistent (HTTP/1.1), each served by its own thread, up to
-MAX_CONNECTIONS at once. A reply that leaves declared body bytes unread, and
+MAX_CONNECTIONS at once. Every reply, status line, headers and body, goes to
+the socket in one write. A reply that leaves declared body bytes unread, and
 every error the stdlib itself answers, closes its connection with
 ``Connection: close``.
 
@@ -17,6 +20,7 @@ Endpoints:
     GET  /pools                         pool export (controller LB shape)
     POST /requests                      dispatch {"target": "auto"|index, "count": N}
     GET  /stats                         per-server counters + load summary
+    GET  /healthz                       {"status": "ok"} while the server answers
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class LoadBalancerService:
         self.pools = None  # the current plan's pools, with their cursors
         self.counters: dict[str, int] = {}
         self._clusters = None  # the current plan's GET /clusters body
+        self._encoded = ()  # (body, bytes) pairs of the current plan's answered bodies
 
     # -- endpoint handlers -------------------------------------------------
 
@@ -98,6 +103,7 @@ class LoadBalancerService:
                     raise ServiceError(422, "clustering failed", str(exc)) from exc
                 self.plan, self.pools = plan, plan.pools()
                 self._clusters = {"requested_k": k, **plan.document}
+                self._encoded = ()
             return self._clusters
 
     def get_pools(self) -> dict:
@@ -151,6 +157,22 @@ class LoadBalancerService:
                 body["load_summary"] = None
             return body
 
+    def encode(self, body: dict) -> bytes:
+        """The JSON bytes of a reply body. The current plan's GET /clusters
+        and GET /pools bodies are encoded on their first reply and kept until
+        the plan is replaced. A body is matched by identity, so the bytes are
+        always those of the dict that the caller holds."""
+        for stored, payload in self._encoded:  # replaced whole under the lock, never changed
+            if stored is body:
+                return payload
+        payload = json.dumps(body).encode()
+        with self._lock:
+            plan = self.plan  # its export exists once a GET /pools built it
+            current = plan is not None and (body is self._clusters or body is vars(plan).get("export"))
+            if current and all(stored is not body for stored, _ in self._encoded):
+                self._encoded += ((body, payload),)
+        return payload
+
 
 # -- HTTP wiring -------------------------------------------------------------
 
@@ -161,8 +183,9 @@ class _Handler(BaseHTTPRequestHandler):
     # about 40 ms for the client's delayed ACK of the one before
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    # replies are buffered and sent when the stdlib flushes after each
-    # request: status line, headers and a body that fits go out in one write
+    # _send hands status line, headers and body to this buffer as one
+    # write: a reply that fits is sent when the stdlib flushes after the
+    # request, a longer one goes to the socket at once, in one write either way
     wbufsize = io.DEFAULT_BUFFER_SIZE
     # a request line without a version, or one refused before its version is
     # read, is treated as HTTP/1.0: its reply has a status line and closes
@@ -179,7 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep test output quiet
 
     def _send(self, status: int, body: dict, allow: str | None = None, close: bool = False) -> None:
-        payload = json.dumps(body).encode()
+        payload = self.service.encode(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -187,9 +210,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Allow", allow)
         if close or self.request_version < "HTTP/1.1" or self._body_unread():
             self.send_header("Connection", "close")  # the stdlib then closes after this reply
-        self.end_headers()
+        # end_headers, with the body joined to the headers the stdlib buffered
+        self._headers_buffer.append(b"\r\n")
         if self.command != "HEAD":
-            self.wfile.write(payload)
+            self._headers_buffer.append(payload)
+        self.flush_headers()
 
     def _body_unread(self) -> bool:
         """Whether the request declared body bytes that were not read: on a
@@ -234,8 +259,8 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # never leak a traceback through the socket
             self._send(500, {"error": "internal error", "detail": str(exc)})
 
-    def _get_clusters(self) -> dict:
-        query = parse_qs(urlparse(self.path).query)
+    def _get_clusters(self, query: str) -> dict:
+        query = parse_qs(query)
         try:
             k = int(query.get("k", ["3"])[0])
             seed = int(query.get("seed", ["0"])[0])
@@ -244,24 +269,27 @@ class _Handler(BaseHTTPRequestHandler):
         method = query.get("method", ["kmeans"])[0]
         return self.service.get_clusters(k=k, method=method, seed=seed)
 
-    def _post_requests(self) -> dict:
+    def _post_requests(self, query: str) -> dict:
         body = self._read_json()
         if not isinstance(body, dict) or {"target", "count"} - body.keys():
             raise ServiceError(400, "invalid body", "body must carry 'target' and 'count'")
         return self.service.post_requests(body["target"], body["count"])
 
-    # path -> method -> handler; service methods are looked up per call, so wrappers apply
+    # path -> method -> handler of (self, query string); service methods are
+    # looked up per call, so wrappers apply
     ROUTES = {
-        "/topology": {"PUT": lambda self: self.service.put_topology(self._read_json())},
+        "/topology": {"PUT": lambda self, query: self.service.put_topology(self._read_json())},
         "/clusters": {"GET": _get_clusters},
-        "/pools": {"GET": lambda self: self.service.get_pools()},
+        "/pools": {"GET": lambda self, query: self.service.get_pools()},
         "/requests": {"POST": _post_requests},
-        "/stats": {"GET": lambda self: self.service.get_stats()},
+        "/stats": {"GET": lambda self, query: self.service.get_stats()},
+        "/healthz": {"GET": lambda self, query: {"status": "ok"}},
     }
 
     def _route(self) -> None:
         self._body_read = False
-        path = urlparse(self.path).path
+        target = urlparse(self.path)
+        path = target.path
         methods = self.ROUTES.get(path)
         if methods is None:
             self._send(404, {"error": "not found", "detail": self.path})
@@ -269,7 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = {"error": "method not allowed", "detail": f"{self.command} {path}"}
             self._send(405, body, allow=", ".join(methods))
         else:
-            self._dispatch(lambda: methods[self.command](self))
+            self._dispatch(lambda: methods[self.command](self, target.query))
 
     do_GET = do_PUT = do_POST = do_DELETE = do_PATCH = do_HEAD = do_OPTIONS = _route
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import itertools
+import json
 import math
 import random
 import sys
@@ -22,6 +24,7 @@ from sdnlb.clustering import (
     effective_k,
 )
 from sdnlb.rng import SplitMix64
+from sdnlb.service import ServiceError
 from sdnlb.simulator import (
     DEFAULT_RTT_WINDOW_BYTES,
     BigClusterRR,
@@ -517,6 +520,88 @@ def chain_document(n_switches: int) -> dict:
         if i < n_switches:
             links.append({"a": f"s{i}", "b": f"s{i + 1}", "delay_ms": 5.0, "capacity_mbps": 100.0})
     return {"nodes": nodes, "links": links, "user_switch": "s1"}
+
+
+def star_document(n_servers: int) -> dict:
+    """One switch s1 with the user host u1 and server hosts v1..vn on host
+    links of delay i mod 7 ms: k-means splits the servers by delay, and
+    spectral clustering refuses it, as s1 has no switch links."""
+    nodes = [{"id": "s1", "kind": "switch"}, {"id": "u1", "kind": "user_host"}]
+    links = [{"a": "u1", "b": "s1", "delay_ms": 0.0, "capacity_mbps": 100.0}]
+    for i in range(1, n_servers + 1):
+        nodes.append({"id": f"v{i}", "kind": "server_host"})
+        links.append({"a": f"v{i}", "b": "s1", "delay_ms": float(i % 7), "capacity_mbps": 100.0})
+    return {"nodes": nodes, "links": links, "user_switch": "s1"}
+
+
+# -- REST replies on the wire and in process ---------------------------------
+
+
+def plan_calls(document: dict) -> list[tuple[str, str, dict | None]]:
+    """REST calls through the life of the service's current plan: repeats
+    on one plan, a re-plan, a spectral re-plan (refused on a star_document),
+    a switch back to the first plan, and a second upload that drops it."""
+    return [
+        ("PUT", "/topology", document),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/pools", None),
+        ("GET", "/pools", None),
+        ("GET", "/clusters?k=2", None),
+        ("GET", "/pools", None),
+        ("GET", "/clusters?k=2&method=spectral", None),
+        ("GET", "/clusters?k=2", None),
+        ("GET", "/pools", None),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/pools", None),
+        ("POST", "/requests", {"target": "auto", "count": 10}),
+        ("GET", "/stats", None),
+        ("PUT", "/topology", document),
+        ("GET", "/pools", None),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/pools", None),
+    ]
+
+
+def replay(base: str, calls) -> list[tuple[int, bytes]]:
+    """Send each (verb, path, body) call over one keep-alive connection to
+    the server at `base`; return each reply's status and body."""
+    host, port = base.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    replies = []
+    try:
+        conn.connect()
+        sock = conn.sock
+        for verb, path, body in calls:
+            conn.request(verb, path, body=None if body is None else json.dumps(body))
+            response = conn.getresponse()
+            replies.append((response.status, response.read()))
+        if conn.sock is not sock:  # http.client opens a new socket only after a close
+            raise ConnectionError(f"the server closed the connection during {calls}")
+    finally:
+        conn.close()
+    return replies
+
+
+def in_process_reply(service, verb: str, path: str, body: dict | None) -> tuple[int, bytes]:
+    """The status and JSON bytes that `service` answers to one REST call
+    made in process: what the wire must carry for the same call."""
+    route, _, query = path.partition("?")
+    params = dict(param.split("=") for param in query.split("&") if param)
+    handlers = {
+        ("PUT", "/topology"): lambda: service.put_topology(body),
+        ("GET", "/clusters"): lambda: service.get_clusters(
+            int(params.get("k", 3)), params.get("method", "kmeans"), int(params.get("seed", 0))
+        ),
+        ("GET", "/pools"): service.get_pools,
+        ("POST", "/requests"): lambda: service.post_requests(body["target"], body["count"]),
+        ("GET", "/stats"): service.get_stats,
+    }
+    try:
+        return 200, json.dumps(handlers[verb, route]()).encode()
+    except ServiceError as exc:
+        return exc.status, json.dumps(exc.body()).encode()
 
 
 # -- a reference loader, the differential oracle for load_topology --------

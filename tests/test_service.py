@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import http.client
+import io
 import json
 import os
+import random
 import select
 import signal
 import socket
@@ -31,10 +33,18 @@ from helpers import (
     NON_DECIMAL_DIGIT_IDS,
     chain_document,
     count_calls,
+    in_process_reply,
+    layered_topology,
     paper_document_renamed,
+    plan_calls,
+    replay,
+    star_document,
 )
 
 TOPOLOGY_DOC = build_paper_topology().document()
+# documents whose GET /clusters and GET /pools bodies exceed the 8 KiB reply buffer
+STAR_DOC = star_document(250)
+LAYERED_DOC = layered_topology(4, 6, 14).document()
 
 
 @pytest.fixture()
@@ -173,6 +183,22 @@ class TestGetClusters:
         service.get_clusters(k=2)  # a re-plan exports its own pools
         assert service.get_pools()["pools"] != first["pools"]
         assert len(exports) == 2
+
+    def test_encode_keeps_the_current_plan_bodies_by_identity(self, service):
+        service.put_topology(TOPOLOGY_DOC)
+        clusters = service.get_clusters(k=3)
+        pools = service.get_pools()
+        for body in (clusters, pools):
+            assert service.encode(body) is service.encode(body) == json.dumps(body).encode()
+        copy = dict(clusters)  # equal, but not the plan's own body
+        assert service.encode(copy) is not service.encode(copy)
+        service.get_clusters(k=2)  # a re-plan drops the old plan's bytes
+        assert service.encode(clusters) is not service.encode(clusters)
+        assert service.encode(clusters) == json.dumps(clusters).encode()
+        with pytest.raises(ServiceError):
+            service.get_clusters(k=0)
+        current = service.get_clusters(k=2)
+        assert service.encode(current) is service.encode(current)
 
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -512,7 +538,14 @@ class TestHttpEndpoints:
 
 
 # every path of the route table, with the method it serves
-ROUTES = {"/topology": "PUT", "/clusters": "GET", "/pools": "GET", "/requests": "POST", "/stats": "GET"}
+ROUTES = {
+    "/topology": "PUT",
+    "/clusters": "GET",
+    "/pools": "GET",
+    "/requests": "POST",
+    "/stats": "GET",
+    "/healthz": "GET",
+}
 
 
 @pytest.mark.parametrize("path", [*ROUTES, "/nope"])
@@ -716,6 +749,95 @@ def test_calls_on_one_connection_keep_it_and_the_golden_bodies(live_server):
     assert calls >= 50
 
 
+@pytest.mark.parametrize("document", [STAR_DOC, LAYERED_DOC], ids=["star", "layered"])
+def test_plan_replies_on_one_connection_match_the_in_process_service(live_server, document):
+    """Each wire reply through a plan's life (repeats, a re-plan, a refused
+    re-plan, a switch back, a second upload) equals json.dumps of the reply
+    an in-process service gives to the same calls."""
+    base, _ = live_server
+    calls = plan_calls(document)
+    service = LoadBalancerService()
+    expected = [in_process_reply(service, *call) for call in calls]
+    assert replay(base, calls) == expected
+    statuses = {status for status, _ in expected}
+    assert statuses == ({200, 409, 422} if document is STAR_DOC else {200, 409})
+    assert max(len(body) for _, body in expected) > io.DEFAULT_BUFFER_SIZE
+
+
+def test_plan_bodies_are_encoded_once_per_plan(live_server, monkeypatch):
+    encoded = []
+
+    def dumps(body):
+        encoded.append(body)
+        return json.dumps(body)
+
+    monkeypatch.setattr(sdnlb.service, "json", SimpleNamespace(dumps=dumps, loads=json.loads))
+    base, _ = live_server
+    calls = plan_calls(STAR_DOC)
+    counts = []
+    for call in calls:
+        before = len(encoded)
+        replay(base, [call])
+        counts.append(len(encoded) - before)
+    # a plan's first GET /clusters and GET /pools encode; repeats send the
+    # stored bytes; every other reply, and each body of a new plan, encodes
+    assert list(zip(calls, counts)) == list(zip(calls, [1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1]))
+
+
+def test_concurrent_replans_answer_each_query_with_its_own_plan(live_server, monkeypatch):
+    """Four connections alternate k=2 and k=3, and each GET /clusters waits
+    up to 4 ms after its handler call, so the plan is often replaced before
+    the reply is written; every reply is still the body its own call got."""
+    base, _ = live_server
+    service = LoadBalancerService()
+    service.put_topology(TOPOLOGY_DOC)
+    clusters, pools = {}, set()
+    for k in (2, 3):
+        clusters[k] = json.dumps(service.get_clusters(k=k)).encode()
+        pools.add(json.dumps(service.get_pools()).encode())
+    get_clusters = LoadBalancerService.get_clusters
+    pause = random.Random(22)
+
+    def slow_get_clusters(self, *args, **kwargs):
+        body = get_clusters(self, *args, **kwargs)
+        time.sleep(pause.random() * 0.004)
+        return body
+
+    monkeypatch.setattr(LoadBalancerService, "get_clusters", slow_get_clusters)
+    assert replay(base, [("PUT", "/topology", TOPOLOGY_DOC)])[0][0] == 200
+    errors = []
+
+    def client(first_k: int) -> None:
+        try:
+            ks = [first_k, 5 - first_k] * 15
+            calls = [call for k in ks for call in [("GET", f"/clusters?k={k}", None), ("GET", "/pools", None)]]
+            replies = replay(base, calls)
+            for k, (status, body), (pools_status, pools_body) in zip(ks, replies[::2], replies[1::2]):
+                assert (status, json.loads(body)["requested_k"]) == (200, k)
+                assert body == clusters[k]
+                assert pools_status == 200 and pools_body in pools
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(2 + i % 2,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between any two steps
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_healthz_answers_ok(live_server):
+    base, _ = live_server
+    assert replay(base, [("GET", "/healthz", None)]) == [(200, b'{"status": "ok"}')]
+
+
 SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
@@ -785,7 +907,8 @@ def test_request_below_http_1_1_gets_one_reply_even_if_it_asks_to_keep_alive(liv
     assert headers["Connection"] == "close"
 
 
-def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch):
+@pytest.mark.parametrize("document, count", [(TOPOLOGY_DOC, 300), (LAYERED_DOC, 2000)], ids=["paper", "layered"])
+def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch, document, count):
     nodelay, writes = [], []
     setup = _Handler.setup
 
@@ -803,10 +926,12 @@ def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch):
     bodies = []
     try:
         for verb, path, body in [
-            ("PUT", "/topology", TOPOLOGY_DOC),
+            ("PUT", "/topology", document),
+            ("GET", "/clusters?k=3", None),
             ("GET", "/clusters?k=3", None),
             ("GET", "/pools", None),
-            ("POST", "/requests", {"target": "auto", "count": 300}),
+            ("GET", "/pools", None),
+            ("POST", "/requests", {"target": "auto", "count": count}),
             ("GET", "/stats", None),
             ("GET", "/nope", None),
         ]:
@@ -817,6 +942,8 @@ def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch):
     assert len(nodelay) == 1 and nodelay[0] != 0  # one connection, Nagle's algorithm off
     assert len(writes) == len(bodies)
     assert all(write.endswith(b"\r\n\r\n" + body) for write, body in zip(writes, bodies))
+    if document is LAYERED_DOC:  # clusters, pools and requests bodies past the buffer
+        assert sum(len(body) > io.DEFAULT_BUFFER_SIZE for body in bodies) == 5
 
 
 def test_idle_connection_is_closed_after_the_timeout(live_server, monkeypatch):
