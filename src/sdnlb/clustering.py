@@ -74,30 +74,52 @@ def effective_k(requested_k: int, n_points: int) -> int:
 # -- k-means++ core ---------------------------------------------------------
 
 
+def _squared_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distance from each center to each point. columns is the
+    points' (d, n) transpose and centers is (..., d); the result is
+    (..., n). Coordinates are summed left to right, (p_0 - c_0)² +
+    (p_1 - c_1)² + …, into one array with the points innermost, so no array
+    carries a d axis. For d < 8 this is numpy's last-axis sum bit for bit;
+    from d = 8 numpy sums pairwise and the last bit can differ."""
+    dist2 = np.subtract(columns[0], centers[..., 0, None])
+    np.square(dist2, out=dist2)
+    term = np.empty_like(dist2)
+    for j in range(1, len(columns)):
+        np.subtract(columns[j], centers[..., j, None], out=term)
+        dist2 += np.square(term, out=term)
+    return dist2
+
+
 def _d2_seed(points: np.ndarray, k: int, seeds: list[int]) -> np.ndarray:
     """D²-sampling, one run per seed, all runs at once: first center
     uniform, later centers proportional to the squared distance to the
     nearest chosen center. If all remaining mass is zero (duplicate points),
     the next center is uniform among points. Each run draws from its own
-    SplitMix64(seed) and sums its own row, so it picks what a lone run
-    would. Returns an (R, k, d) array, R = len(seeds)."""
+    SplitMix64(seed) and sums its own (n,) row of squared distances, so it
+    picks what a lone run would. Returns an (R, k, d) array, R = len(seeds)."""
     n = len(points)
     if not 1 <= k <= n:
         raise ClusteringError(f"cannot seed {k} centers from {n} points")
+    columns = np.ascontiguousarray(points.T)
     rngs = [SplitMix64(seed) for seed in seeds]
     chosen = np.empty((len(rngs), k), dtype=np.int64)
     chosen[:, 0] = [rng.below(n) for rng in rngs]
-    d2 = ((points - points[chosen[:, 0], None]) ** 2).sum(axis=2)
+    d2 = _squared_distances(columns, points[chosen[:, 0]])
     for j in range(1, k):
         totals = d2.sum(axis=1).tolist()
         cumulative = np.cumsum(d2, axis=1)
+        u = np.zeros(len(rngs))
+        uniform = {}  # runs with no mass left: a uniform pick
         for r, (rng, total) in enumerate(zip(rngs, totals)):
             if total > 0.0:
-                u = rng.random() * total
-                chosen[r, j] = min(int(np.searchsorted(cumulative[r], u, side="right")), n - 1)
+                u[r] = rng.random() * total
             else:
-                chosen[r, j] = rng.below(n)
-        d2 = np.minimum(d2, ((points - points[chosen[:, j], None]) ** 2).sum(axis=2))
+                uniform[r] = rng.below(n)
+        # searchsorted(side="right") on every nondecreasing row at once
+        chosen[:, j] = np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), n - 1)
+        for r, pick in uniform.items():
+            chosen[r, j] = pick
+        np.minimum(d2, _squared_distances(columns, points[chosen[:, j]]), out=d2)
     return points[chosen]
 
 
@@ -130,11 +152,12 @@ def _lloyd(
     Each run stops at its own fixed point (an assignment that the round did
     not change) or after MAX_ITERATIONS rounds. A run at its fixed point is
     recomputed unchanged until every run stops, but records no more rounds.
-    Each run does the float operations of a lone run in the same order, so
-    its result is bit-identical. (At d = 1 numpy's mean sums pairwise, not
-    in point order; the one such input here, spectral rows cut to the first
-    eigenvector, is all 1.0 or all -1.0, whose sums are exact either way.)
-    Returns each run's (assignment, sse, sse_trace)."""
+    A round's squared distances are one (R, k, n) array, summed coordinate
+    by coordinate (see _squared_distances); each cluster's coordinate sums
+    run in point order, one bincount per coordinate. Each run does the float
+    operations of a lone run in the same order, so its result is
+    bit-identical to the per-run loop. Returns each run's (assignment, sse,
+    sse_trace)."""
     runs, k, d = initial_centroids.shape
     n = len(points)
     if k < 1:
@@ -143,26 +166,23 @@ def _lloyd(
         raise ClusteringError("more initial centroids than points")
 
     centroids = initial_centroids
+    columns = np.ascontiguousarray(points.T)
+    weights = np.tile(columns, runs)  # each coordinate column, once per run
     offsets = np.arange(runs)[:, None] * k  # run r's clusters are r*k .. r*k+k-1
-    coordinates = np.tile(points.ravel(), runs)  # the points' coordinates, once per run
     assignment = np.full((runs, n), -1, dtype=np.int64)
     traces: list[list[float]] = [[] for _ in range(runs)]
     active = np.ones(runs, dtype=bool)
     errors: dict[int, str] = {}
     for _ in range(MAX_ITERATIONS):
-        diff = points[:, None, :] - centroids[:, None, :, :]
-        dist2 = np.square(diff, out=diff).sum(axis=3)
-        del diff  # the one (runs, n, k, d) array: gone before the next round makes its own
-        new_assignment = dist2.argmin(axis=2)  # ties go to the lowest index
+        dist2 = _squared_distances(columns, centroids)
+        new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
         counts = np.bincount((new_assignment + offsets).ravel(), minlength=runs * k).reshape(runs, k)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
-            new_assignment[r] = _reseed_empty(dist2[r], new_assignment[r], k)
+            new_assignment[r] = _reseed_empty(dist2[r].T, new_assignment[r], k)
             counts[r] = np.bincount(new_assignment[r], minlength=k)
-        # each cluster's coordinate sums in point order, then one division,
-        # as points[mask].mean(axis=0) does for d >= 2
+        del dist2  # the one (runs, k, n) array: gone before the next round makes its own
         labels = (new_assignment + offsets).ravel()
-        bins = (labels[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(bins, weights=coordinates, minlength=runs * k * d).reshape(runs * k, d)
+        sums = np.stack([np.bincount(labels, weights=w, minlength=runs * k) for w in weights], axis=1)
         centroids = (sums / counts.reshape(runs * k, 1)).reshape(runs, k, d)
         residual = points - np.take(centroids.reshape(runs * k, d), labels, axis=0).reshape(runs, n, d)
         sse = np.square(residual, out=residual).reshape(runs, n * d).sum(axis=1).tolist()
@@ -198,13 +218,15 @@ def _model_from(
     """The one model builder: each centroid is its cluster's mean raw (hops,
     delay); clusters are renumbered by priority rank (0 = nearest), so equal
     partitions serialize identically whatever the seed."""
-    centroids = [
-        tuple(map(float, points[assignment == c].mean(axis=0))) for c in range(int(assignment.max()) + 1)
-    ]
+    counts = np.bincount(assignment)
+    # each cluster's coordinate sums in point order, then one division: for
+    # the 2-column features, what points[assignment == c].mean(axis=0) gives
+    means = [np.bincount(assignment, weights=column) / counts for column in points.T]
+    centroids = list(zip(*(m.tolist() for m in means)))
     order = sorted(range(len(centroids)), key=centroids.__getitem__)  # stable: ties keep label order
     relabel = {old: new for new, old in enumerate(order)}
     return ClusterModel(
-        assignment=tuple(relabel[int(a)] for a in assignment),
+        assignment=tuple(map(relabel.__getitem__, assignment.tolist())),
         centroids=tuple(centroids[old] for old in order),
         sse=sse,
         sse_trace=trace,
@@ -312,7 +334,7 @@ def spectral_cluster(topology: Topology, config: ClusteringConfig) -> ClusterMod
     features = topology.features
     # each server's switch as a switch_ids row; bearing lists those rows once,
     # in switch_ids order, and row_of_server maps each server to its place there
-    switch_rows = [topology.switch_index[topology.attached_switch(s)] for s in features.server_ids]
+    switch_rows = [topology.switch_index[topology.adjacency[s][0]] for s in features.server_ids]
     bearing, row_of_server = np.unique(switch_rows, return_inverse=True)
     k = effective_k(config.k, len(bearing))
 

@@ -23,7 +23,7 @@ import numpy as np
 from .allocator import (
     AllocationError, EqualPerCluster, Pool, PoolSet, SingleCluster, SingleServer, distribute_requests,
 )
-from .topology import PathMatrix, Topology, natural_key
+from .topology import NodeKind, PathMatrix, Topology, TopologyError, natural_key
 
 DEFAULT_DURATION_S = 10.0
 DEFAULT_RTT_WINDOW_BYTES = 65536.0
@@ -250,6 +250,19 @@ def _request_counts(scenario: Scenario) -> dict[str, int]:
         raise SimulationError(f"{state.label}: {exc}") from exc
 
 
+def _check_members(topology: Topology, pools: PoolSet) -> None:
+    """Every pool member must be a server host of the topology, whether or
+    not a request reaches it."""
+    server_switch = topology.server_switch
+    for server in pools.all_servers():
+        if server not in server_switch:
+            node = topology.node_map.get(server)
+            if node is None:
+                raise TopologyError(f"unknown node id '{server}'")
+            kind = "a switch" if node.kind is NodeKind.SWITCH else "the user host"
+            raise TopologyError(f"'{server}' is {kind}, not a server host")
+
+
 def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -> list[Flow]:
     """One concurrent flow per request, user host to server host, in natural
     server order."""
@@ -269,11 +282,14 @@ def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -
 def run_experiment(scenario: Scenario) -> ExperimentReport:
     """Dispatch the scenario's requests, solve fair-share rates, and report
     per-server requests, transferred megabytes, and bandwidth: one flow
-    class per loaded switch, and count * class rate per server."""
+    class per loaded switch, and count * class rate per server. A pool
+    member that is not a server host of the topology is a TopologyError
+    naming it, even if no request would reach it."""
     topology = scenario.topology
+    _check_members(topology, scenario.pools)
     counts = _request_counts(scenario)
-    routes = topology.routes
-    switch_of = {server: topology.attached_switch(server) for server, count in counts.items() if count}
+    routes, server_switch = topology.routes, topology.server_switch
+    switch_of = {server: server_switch[server] for server, count in counts.items() if count}
     load: dict[str, int] = {}
     for server, switch in switch_of.items():
         load[switch] = load.get(switch, 0) + counts[server]

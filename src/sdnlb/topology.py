@@ -245,9 +245,10 @@ class Topology:
 
     def switch_adjacency(self) -> np.ndarray:
         """Binary adjacency matrix over switch_ids order."""
+        rows = [i for i, neighbours in enumerate(self.switch_links) for _ in neighbours]
+        columns = [j for neighbours in self.switch_links for j, _ in neighbours]
         adj = np.zeros((len(self.switch_ids),) * 2)
-        for i, neighbours in enumerate(self.switch_links):
-            adj[i, [j for j, _ in neighbours]] = 1.0
+        adj[rows, columns] = 1.0
         return adj
 
     def document(self) -> dict:
@@ -270,6 +271,11 @@ class Topology:
     def capacity(self) -> Mapping[tuple[str, str], float]:
         """Capacity (Mbps) of every link, by link key (read-only)."""
         return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
+
+    @cached_property
+    def server_switch(self) -> Mapping[str, str]:
+        """The switch each server host attaches to, by server id (read-only)."""
+        return MappingProxyType({s: self.adjacency[s][0] for s in self.server_ids})
 
     @cached_property
     def tree(self) -> Mapping[str, Reach]:

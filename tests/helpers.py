@@ -180,9 +180,21 @@ def brute_force_kmeans(features: FeatureSet, k: int) -> float:
 # -- the per-restart k-means core (oracle for clustering's batched core) -------
 #
 # These are the seeding, Lloyd and restart loop that clustering.py ran one
-# restart at a time before its restarts ran as one array pass. The batched
-# core must give the same assignment, the same SSE bits and the same trace
-# for every restart, so the same restart wins.
+# restart at a time before its restarts ran as one array pass, with the
+# core's two sum rules: squared distances summed coordinate by coordinate,
+# left to right, and cluster sums in point order. The batched core must give
+# the same assignment, the same SSE bits and the same trace for every
+# restart, so the same restart wins.
+
+
+def squared_distances_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a - b)² summed over the last axis left to right, coordinate by
+    coordinate: the k-means distance rule."""
+    terms = (a - b) ** 2
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def d2_seed_oracle(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
@@ -193,7 +205,7 @@ def d2_seed_oracle(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     if not 1 <= k <= n:
         raise ClusteringError(f"cannot seed {k} centers from {n} points")
     chosen = [rng.below(n)]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = squared_distances_oracle(points, points[chosen[0]])
     for _ in range(k - 1):
         total = float(d2.sum())
         if total > 0.0:
@@ -203,7 +215,7 @@ def d2_seed_oracle(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
         else:
             idx = rng.below(n)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, squared_distances_oracle(points, points[idx]))
     return points[chosen].astype(float).copy()
 
 
@@ -211,7 +223,9 @@ def lloyd_oracle(
     points: np.ndarray, initial_centroids: np.ndarray
 ) -> tuple[np.ndarray, float, tuple[float, ...]]:
     """Lloyd refinement of one run, at most MAX_ITERATIONS rounds, stopping
-    at a fixed point. Returns (assignment, sse, sse_trace)."""
+    at a fixed point. Each centroid is its cluster's coordinate sums in
+    point order (a running sum) over its size. Returns (assignment, sse,
+    sse_trace)."""
     k = len(initial_centroids)
     if k < 1:
         raise ClusteringError("need at least one initial centroid")
@@ -222,11 +236,12 @@ def lloyd_oracle(
     assignment = np.full(len(points), -1, dtype=np.int64)
     trace: list[float] = []
     for _ in range(MAX_ITERATIONS):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dist2 = squared_distances_oracle(points[:, None, :], centroids[None, :, :])
         new_assignment = dist2.argmin(axis=1)  # ties go to the lowest index
         if (np.bincount(new_assignment, minlength=k) == 0).any():
             new_assignment = _reseed_empty(dist2, new_assignment, k)
-        centroids = np.stack([points[new_assignment == c].mean(axis=0) for c in range(k)])
+        members = [points[new_assignment == c] for c in range(k)]
+        centroids = np.stack([np.cumsum(m, axis=0)[-1] / len(m) for m in members])
         sse = float(((points - centroids[new_assignment]) ** 2).sum())
         if trace and sse > trace[-1] + 1e-9:
             raise ClusteringError(f"Lloyd SSE increased from {trace[-1]} to {sse}")

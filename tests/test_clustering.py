@@ -35,7 +35,7 @@ from sdnlb.topology import (
 )
 
 import golden
-from helpers import brute_force_kmeans, random_connected_topology, restarts_oracle
+from helpers import brute_force_kmeans, random_connected_topology, restarts_oracle, squared_distances_oracle
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +218,7 @@ class TestLloyd:
     @given(
         shape=st.sampled_from(["random", "grid", "duplicates"]),
         n=st.integers(1, 40),
-        d=st.integers(2, 10),
+        d=st.integers(1, 16),
         k=st.integers(1, 10),
         rng_seed=st.integers(0, 2**64 - 1),
         data_seed=st.integers(0, 2**32 - 1),
@@ -248,6 +248,40 @@ class TestLloyd:
         assignment, sse, trace = _best_of_restarts(points, k, config)
         assert np.array_equal(assignment, expected[winner][0])
         assert (sse, trace) == expected[winner][1:]
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_squared_distances_sum_coordinates_left_to_right(self, d):
+        # the one distance rule of seeding and Lloyd; for d <= 7 it is also
+        # numpy's last-axis sum, which is why the pinned outputs hold
+        from sdnlb.clustering import _squared_distances
+
+        rng = np.random.default_rng(d)
+        points = rng.random((50, d)) * 10.0 ** rng.integers(-3, 7, d)
+        for centers in (points[rng.integers(0, 50, (4, 3))], points[rng.integers(0, 50, 4)]):
+            got = _squared_distances(np.ascontiguousarray(points.T), centers)
+            assert got.shape == centers.shape[:-1] + (50,)
+            expected = squared_distances_oracle(points, centers[..., None, :])
+            assert np.array_equal(got, expected)
+            if d <= 7:
+                assert np.array_equal(got, ((points - centers[..., None, :]) ** 2).sum(axis=-1))
+
+    def test_lloyd_holds_no_array_with_a_feature_axis(self):
+        # a round's (R, k, n) distances and the (R, k, n) term added to them
+        # are its largest arrays: nothing of size R * n * k * d
+        import tracemalloc
+
+        from sdnlb.clustering import _d2_seed, _lloyd
+
+        n, k, d, runs = 400, 200, 2, 10
+        points = np.random.default_rng(5).random((n, d))
+        initial = _d2_seed(points, k, list(range(runs)))
+        tracemalloc.start()
+        try:
+            _lloyd(points, initial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * runs * k * n * 8
 
     def test_best_of_50_seeds_reaches_brute_force_optimum(self):
         rnd = random.Random(99)
@@ -301,6 +335,20 @@ class TestKMeansCluster:
             for point, cluster in zip(features.array, model.assignment):
                 dists = ((np.asarray(model.centroids) - point) ** 2).sum(axis=1)
                 assert dists[cluster] <= dists.min() + 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_centroids_are_the_cluster_means_bit_for_bit(self, seed):
+        # the model builder sums each cluster in point order; on 2-column
+        # features that is numpy's mean over the cluster's rows
+        from sdnlb.clustering import _model_from
+
+        rng = np.random.default_rng(seed)
+        points = np.column_stack([rng.integers(0, 9, 300).astype(float), rng.random(300) * 10.0 ** rng.integers(0, 4)])
+        k = int(rng.integers(1, 12))
+        assignment = np.concatenate([np.arange(k), rng.integers(0, k, 300 - k)])
+        model = _model_from(points, assignment, 0.0, (0.0,))
+        means = sorted(tuple(map(float, points[assignment == c].mean(axis=0))) for c in range(k))
+        assert list(model.centroids) == means
 
 
 class TestBruteForce:

@@ -250,7 +250,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="server"):
             run_experiment(Scenario(topo, PoolSet([]), BigClusterRR(3)))
 
-    @pytest.mark.parametrize("state", [SingleServerBurst("h10", 3), BigClusterRR(30), ClusteredRR(10)])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            SingleServerBurst("h10", 3),
+            BigClusterRR(30),
+            ClusteredRR(10),
+            # no request reaches h10: each pool member is checked all the same
+            SingleServerBurst("h3", 5),
+            SingleServerBurst("h10", 0),
+            BigClusterRR(1),
+            ClusteredRR(1),
+            ClusteredRR(0),
+        ],
+    )
     def test_pools_of_another_topology_name_the_missing_server(self, paper, state):
         # the paper topology's pools hold h10; this topology has no such host
         _, pools = paper
@@ -259,6 +272,14 @@ class TestRunExperiment:
         document["links"] = [l for l in document["links"] if "h10" not in (l["a"], l["b"])]
         with pytest.raises(sdnlb.topology.TopologyError, match="^unknown node id 'h10'$"):
             run_experiment(Scenario(load_topology(document), pools, state))
+
+    @pytest.mark.parametrize("member,kind", [("s1", "a switch"), ("h1", "the user host")])
+    @pytest.mark.parametrize("state", [SingleServerBurst("h2", 5), BigClusterRR(2), ClusteredRR(1)])
+    def test_pool_members_must_be_server_hosts(self, paper, member, kind, state):
+        topo, _ = paper
+        pools = PoolSet([Pool(0, ("h2", member), (0.0, 0.0))])
+        with pytest.raises(sdnlb.topology.TopologyError, match=f"^'{member}' is {kind}, not a server host$"):
+            run_experiment(Scenario(topo, pools, state))
 
     def test_scenario_pools_not_mutated(self, paper):
         topo, pools = paper
