@@ -6,9 +6,11 @@ One rule (_shortest_paths_from: fewest hops, then least delay, then the
 least tied parent) picks every shortest path over the switch graph, hosts
 collapsed onto their switch. From the user switch it gives the
 tree that every route and feature is read off; from every switch it gives
-all_pairs_shortest_paths. A Topology is immutable: validation builds its
-indexes and tree in one pass per section, and its routes, features and
-fingerprint are built once, on first use, and shared.
+all_pairs_shortest_paths. A Topology is immutable: validation ranks the
+nodes by natural id, sorts the links by their ends' ranks, and builds its
+indexes (lists indexed by rank while it runs) and tree in one pass per
+section; its routes, features and fingerprint are built once, on first use,
+and shared. Node and Link are slotted, with hand-written constructors.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import numpy as np
 # squares in the clustering stay finite for any network that fits in memory.
 MAX_DELAY_MS = 1e9
 NATURAL_KEY_CACHE_SIZE = 4096
+# how the constructors of the frozen Node and Link set their slots
+_set_field = object.__setattr__
 
 
 class TopologyError(ValueError):
@@ -57,44 +61,51 @@ def natural_key(node_id: str) -> tuple:
     return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p) + ((-1, node_id),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Node:
     id: str
     kind: NodeKind
     level: int | None = None
     label: str | None = None
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, kind: NodeKind, level: int | None = None, label: str | None = None):
+        if not id:
             raise TopologyError("node id must be a non-empty string")
-        if self.level is not None and self.level < 1:
-            raise TopologyError(f"node '{self.id}': level must be >= 1")
+        if level is not None and level < 1:
+            raise TopologyError(f"node '{id}': level must be >= 1")
+        _set_field(self, "id", id)
+        _set_field(self, "kind", kind)
+        _set_field(self, "level", level)
+        _set_field(self, "label", label)
 
     @property
     def display(self) -> str:
         return self.label if self.label is not None else self.id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Link:
-    """Undirected link; endpoints are stored in natural id order."""
+    """Undirected link; endpoints are stored in natural id order. The
+    constructor checks the fields, orders the ends and sets the slots."""
 
     a: str
     b: str
     delay_ms: float
     capacity_mbps: float
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise TopologyError(f"link endpoints must differ (got '{self.a}' twice)")
-        if not 0 <= self.delay_ms <= MAX_DELAY_MS:  # NaN fails both comparisons
-            raise TopologyError(f"link {self.a}-{self.b}: delay_ms must be within [0, {MAX_DELAY_MS:g}]")
-        if not (math.isfinite(self.capacity_mbps) and self.capacity_mbps > 0):
-            raise TopologyError(f"link {self.a}-{self.b}: capacity_mbps must be finite and > 0")
-        if natural_key(self.b) < natural_key(self.a):
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+    def __init__(self, a: str, b: str, delay_ms: float, capacity_mbps: float):
+        if a == b:
+            raise TopologyError(f"link endpoints must differ (got '{a}' twice)")
+        if not 0 <= delay_ms <= MAX_DELAY_MS:  # NaN fails both comparisons
+            raise TopologyError(f"link {a}-{b}: delay_ms must be within [0, {MAX_DELAY_MS:g}]")
+        if not (math.isfinite(capacity_mbps) and capacity_mbps > 0):
+            raise TopologyError(f"link {a}-{b}: capacity_mbps must be finite and > 0")
+        if natural_key(b) < natural_key(a):
+            a, b = b, a
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "delay_ms", delay_ms)
+        _set_field(self, "capacity_mbps", capacity_mbps)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -155,69 +166,72 @@ class Topology:
             links = sorted(self.links, key=lambda l: (natural_key(l.a), natural_key(l.b)))
         object.__setattr__(self, "nodes", tuple(self.nodes[i] for i in order))
         object.__setattr__(self, "links", tuple(links))
-        self._validate()
+        self._validate(rank)
 
-    def _validate(self) -> None:
+    def _validate(self, rank: dict[str, int]) -> None:
         """Check every invariant, the first failure raising, and keep the
-        indexes built on the way: one pass over the nodes, one over the
-        links, then the tree."""
+        indexes built on the way. rank is each id's position in nodes, and
+        the per-node neighbour ids and switch slots are lists indexed by it.
+        One pass over the links looks each end up once (links are sorted by
+        rank pair, so a duplicate is the one equal to the previous) and
+        indexes it; the host checks read those lists; then the tree."""
         nodes, user_switch = self.nodes, self.user_switch
-        node_map = {n.id: n for n in nodes}
-        if len(node_map) != len(nodes):
+        if len(rank) != len(nodes):
             duplicate = next(i for i, c in Counter(n.id for n in nodes).items() if c > 1)
             raise TopologyError(f"duplicate node id '{duplicate}'")
+        ids = [n.id for n in nodes]
         switch_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SWITCH)
         switch_index = {s: i for i, s in enumerate(switch_ids)}
+        slot = [switch_index.get(node_id, -1) for node_id in ids]  # -1 for a host
 
         # one pass over the links checks their ends and indexes them
-        neighbours: dict[str, list[str]] = {n.id: [] for n in nodes}
+        neighbours: list[list[str]] = [[] for _ in ids]
         switch_links: list[list[tuple[int, float]]] = [[] for _ in switch_ids]
-        pairs: set[tuple[str, str]] = set()
+        last_i = last_j = -1
         for link in self.links:
             a, b = link.a, link.b
-            at_a, at_b = neighbours.get(a), neighbours.get(b)
-            if at_a is None or at_b is None:
-                raise TopologyError(f"link {a}-{b} references unknown node id '{a if at_a is None else b}'")
-            if (a, b) in pairs:
+            i, j = rank.get(a), rank.get(b)
+            if i is None or j is None:
+                raise TopologyError(f"link {a}-{b} references unknown node id '{a if i is None else b}'")
+            if j == last_j and i == last_i:
                 raise TopologyError(f"duplicate link between '{a}' and '{b}'")
-            pairs.add((a, b))
-            at_a.append(b)
-            at_b.append(a)
-            if a in switch_index and b in switch_index:
-                i, j = switch_index[a], switch_index[b]
-                switch_links[i].append((j, link.delay_ms))
-                switch_links[j].append((i, link.delay_ms))
-        adjacency = {i: tuple(v) for i, v in neighbours.items()}
+            last_i, last_j = i, j
+            neighbours[i].append(b)
+            neighbours[j].append(a)
+            si, sj = slot[i], slot[j]
+            if si >= 0 and sj >= 0:
+                switch_links[si].append((sj, link.delay_ms))
+                switch_links[sj].append((si, link.delay_ms))
 
-        if user_switch not in node_map:
+        if user_switch not in rank:
             raise TopologyError(f"user_switch '{user_switch}' is not a node")
-        if node_map[user_switch].kind is not NodeKind.SWITCH:
+        if user_switch not in switch_index:
             raise TopologyError(f"user_switch '{user_switch}' must be a switch")
 
-        user_hosts = [n for n in nodes if n.kind is NodeKind.USER_HOST]
+        user_hosts = [n.id for n in nodes if n.kind is NodeKind.USER_HOST]
         if len(user_hosts) != 1:
             raise TopologyError(f"expected exactly one user_host, found {len(user_hosts)}")
 
-        for node in nodes:
-            if node.kind is NodeKind.SWITCH:
+        for node_id, switch, attached in zip(ids, slot, neighbours):
+            if switch >= 0:
                 continue
-            attached = adjacency[node.id]
             if len(attached) != 1:
-                raise TopologyError(f"host '{node.id}' must have exactly one link (has {len(attached)})")
-            if node_map[attached[0]].kind is not NodeKind.SWITCH:
-                raise TopologyError(f"host '{node.id}' must attach to a switch, not '{attached[0]}'")
+                raise TopologyError(f"host '{node_id}' must have exactly one link (has {len(attached)})")
+            if attached[0] not in switch_index:
+                raise TopologyError(f"host '{node_id}' must attach to a switch, not '{attached[0]}'")
 
-        if adjacency[user_hosts[0].id][0] != user_switch:
-            raise TopologyError(f"user host '{user_hosts[0].id}' is not attached to user_switch '{user_switch}'")
+        if neighbours[rank[user_hosts[0]]][0] != user_switch:
+            raise TopologyError(f"user host '{user_hosts[0]}' is not attached to user_switch '{user_switch}'")
 
+        adjacency = dict(zip(ids, map(tuple, neighbours)))
         vars(self).update(
-            node_map=node_map,
+            node_map=dict(zip(ids, nodes)),
             adjacency=MappingProxyType(adjacency),
             switch_ids=switch_ids,
             switch_index=MappingProxyType(switch_index),
             switch_links=tuple(map(tuple, switch_links)),
             server_ids=tuple(n.id for n in nodes if n.kind is NodeKind.SERVER_HOST),
-            user_host_id=user_hosts[0].id,
+            user_host_id=user_hosts[0],
         )
 
         # the tree holds the reachable switches; a host hangs off one switch
@@ -355,16 +369,14 @@ def load_topology(document: dict) -> Topology:
             raise TopologyError(f"node '{node_id}': level must be an integer")
         if label is not None and not isinstance(label, str):
             raise TopologyError(f"node '{node_id}': label must be a string or null, got {label!r}")
-        nodes.append(Node(id=node_id, kind=kind, level=level, label=label))
+        nodes.append(Node(node_id, kind, level, label))
 
-    required = {"a", "b", "delay_ms", "capacity_mbps"}
     links = []
     for i, raw in enumerate(document["links"]):
-        if not isinstance(raw, dict) or not required <= raw.keys():
-            raise TopologyError(
-                f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'"
-            )
-        a, b, delay, capacity = raw["a"], raw["b"], raw["delay_ms"], raw["capacity_mbps"]
+        try:
+            a, b, delay, capacity = raw["a"], raw["b"], raw["delay_ms"], raw["capacity_mbps"]
+        except (KeyError, TypeError):  # TypeError: an entry that is no mapping
+            raise TopologyError(f"link entry {raw!r} must carry 'a', 'b', 'delay_ms', 'capacity_mbps'") from None
         if not (isinstance(a, str) and a):
             raise _not_a_name(a, f"links[{i}].a")
         if not (isinstance(b, str) and b):
@@ -543,9 +555,12 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=float)
+        """The points as one read-only (n, 2) array, built on first use."""
+        array = np.array(self.points, dtype=float)
+        array.flags.writeable = False
+        return array
 
 
 def server_features(topology: Topology, paths: PathMatrix) -> FeatureSet:

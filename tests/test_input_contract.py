@@ -324,6 +324,25 @@ TWO_FAULT_DOCUMENTS = {
         _paper(_set(_link("s1", "s2"), "capacity_mbps", 0), _set(_link("s1", "s3"), "b", 3)),
         "link s1-s2: capacity_mbps must be finite and > 0",
     ),
+    # a duplicate link is the one whose end pair equals the previous link's
+    # in sorted order, wherever the document puts the copies
+    "duplicate-link-far-apart-swapped-and-a-host-with-two-links": (
+        _paper(lambda d: d["links"].insert(0, {**_link("s5", "s7")(d), "a": "s7", "b": "s5"}), _add_link("h10", "s6")),
+        "duplicate link between 's5' and 's7'",
+    ),
+    "link-given-three-times-and-user-switch-unknown": (
+        _paper(_add_link("s2", "s1"), lambda d: d.update(user_switch="s99"), _add_link("s1", "s2", 3.0)),
+        "duplicate link between 's1' and 's2'",
+    ),
+    "unknown-end-sorting-just-before-a-duplicate-link": (
+        _paper(_add_link("s6", "s4"), _add_link("s4", "s5a")), "link s4-s5a references unknown node id 's5a'"
+    ),
+    "unknown-end-sorting-just-after-a-duplicate-link": (
+        _paper(_add_link("s4", "s6a"), _add_link("s6", "s4")), "duplicate link between 's4' and 's6'"
+    ),
+    "repeated-node-id-and-duplicate-link": (
+        _paper(_add_link("s2", "s1"), _add_node("s3", "switch")), "duplicate node id 's3'"
+    ),
 }
 
 

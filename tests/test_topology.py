@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import time
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdnlb.clustering import ClusteringConfig, kmeans_cluster, spectral_cluster
 from sdnlb.topology import (
     Link,
     Node,
@@ -379,6 +381,22 @@ class TestServerFeatures:
         features = server_features(topo, all_pairs_shortest_paths(topo))
         assert features.points == ((0.0, 0.0),)
 
+    def test_array_is_built_once_and_read_only(self):
+        topo = layered_topology(4, 3, 2)
+        features = topo.features
+        array = features.array
+        assert features.array is array and array.shape == (len(features), 2)
+        assert array.tolist() == [list(p) for p in features.points]
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 9.0
+        # each re-plan of one topology reads the same array and answers as
+        # a fresh one
+        config = ClusteringConfig(k=3)
+        first = kmeans_cluster(features, config)
+        spectral_cluster(topo, config)
+        assert kmeans_cluster(features, config) == first == kmeans_cluster(layered_topology(4, 3, 2).features, config)
+        assert features.array is array and array.tolist() == [list(p) for p in features.points]
+
     def test_feature_order_is_natural(self, paper):
         topo, paths = paper
         features = server_features(topo, paths)
@@ -429,6 +447,57 @@ def test_natural_key_memo_is_bounded():
 def test_node_rejects_bad_level():
     with pytest.raises(TopologyError):
         Node("s1", NodeKind.SWITCH, level=0)
+
+
+class TestValueTypes:
+    """Node and Link are slotted, with hand-written constructors; they keep
+    the dataclass semantics that a generated constructor gave them."""
+
+    def test_link_ends_are_ordered_and_equal_either_way(self):
+        swapped, ordered = Link("s2", "s1", 1.0, 100.0), Link("s1", "s2", 1.0, 100.0)
+        assert swapped == ordered and hash(swapped) == hash(ordered)
+        assert (swapped.a, swapped.b) == ("s1", "s2") and swapped.key == ("s1", "s2")
+        assert Link("h10", "h2", 0.0, 1.0).key == ("h2", "h10")
+        assert Link("s1", "s2", 1.0, 100.0) != Link("s1", "s2", 2.0, 100.0)
+
+    def test_repr_and_fields_are_the_dataclass_ones(self):
+        assert repr(Link("s2", "s1", 1.0, 100.0)) == "Link(a='s1', b='s2', delay_ms=1.0, capacity_mbps=100.0)"
+        assert repr(Node("s1", NodeKind.SWITCH, 2, "x")) == (
+            "Node(id='s1', kind=<NodeKind.SWITCH: 'switch'>, level=2, label='x')"
+        )
+        assert [f.name for f in dataclasses.fields(Link)] == ["a", "b", "delay_ms", "capacity_mbps"]
+        assert [f.name for f in dataclasses.fields(Node)] == ["id", "kind", "level", "label"]
+        # no per-instance dict: a loaded topology holds hundreds of each
+        assert not hasattr(Link("s1", "s2", 1.0, 100.0), "__dict__")
+        assert not hasattr(Node("s1", NodeKind.SWITCH), "__dict__")
+
+    def test_fields_cannot_be_assigned(self):
+        link, node = Link("s1", "s2", 1.0, 100.0), Node("s1", NodeKind.SWITCH)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.delay_ms = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.level = 3
+        assert link.delay_ms == 1.0 and node.level is None
+
+    def test_replace_and_construction_check_as_before(self):
+        link = Link("s2", "s1", 1.0, 100.0)
+        assert dataclasses.replace(link, delay_ms=2.0) == Link("s1", "s2", 2.0, 100.0)
+        with pytest.raises(TopologyError, match=r"^link s1-s2: delay_ms must be within \[0, 1e\+09\]$"):
+            dataclasses.replace(link, delay_ms=-1.0)
+        with pytest.raises(TopologyError, match="^link s2-s1: capacity_mbps must be finite and > 0$"):
+            Link("s2", "s1", 1.0, float("inf"))
+        with pytest.raises(TopologyError, match="^link endpoints must differ \\(got 's1' twice\\)$"):
+            Link("s1", "s1", 1.0, 100.0)
+        with pytest.raises(TopologyError, match="^node 's1': level must be >= 1$"):
+            Node("s1", NodeKind.SWITCH, level=0)
+        with pytest.raises(TopologyError, match="^node id must be a non-empty string$"):
+            Node("", NodeKind.SWITCH)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Link("s2", "s1", 1.0, 100.0) == Link(b="s1", a="s2", capacity_mbps=100.0, delay_ms=1.0)
+        node = Node(id="h1", kind=NodeKind.USER_HOST, label="10.0.0.1")
+        assert node == Node("h1", NodeKind.USER_HOST, None, "10.0.0.1") and node.display == "10.0.0.1"
+        assert Node("s1", NodeKind.SWITCH) == Node("s1", NodeKind.SWITCH, level=None, label=None)
 
 
 def test_topology_requires_one_user_host():
