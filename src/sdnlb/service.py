@@ -10,9 +10,9 @@ Allow header. One lock serializes all state changes.
 
 Connections are persistent (HTTP/1.1), each served by its own thread, up to
 MAX_CONNECTIONS at once. Every reply, status line, headers and body, goes to
-the socket in one write. A reply that leaves declared body bytes unread, and
-every error the stdlib itself answers, closes its connection with
-``Connection: close``.
+the unbuffered socket in one write, so ``Expect: 100-continue`` is answered
+at once. A reply that leaves declared body bytes unread, and every error the
+stdlib itself answers, closes its connection with ``Connection: close``.
 
 Endpoints:
     PUT  /topology                      upload a topology document
@@ -26,7 +26,6 @@ Endpoints:
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import threading
 from collections import Counter
@@ -183,10 +182,6 @@ class _Handler(BaseHTTPRequestHandler):
     # about 40 ms for the client's delayed ACK of the one before
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    # _send hands status line, headers and body to this buffer as one
-    # write: a reply that fits is sent when the stdlib flushes after the
-    # request, a longer one goes to the socket at once, in one write either way
-    wbufsize = io.DEFAULT_BUFFER_SIZE
     # a request line without a version, or one refused before its version is
     # read, is treated as HTTP/1.0: its reply has a status line and closes
     default_request_version = "HTTP/1.0"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,12 +89,11 @@ class Flow:
 @dataclass(frozen=True)
 class ExperimentReport:
     label: str
-    topology_id: str
+    topology: Topology = field(repr=False)
     duration_s: float
     per_server_requests: dict[str, int]
     per_server_bytes: dict[str, float]
     per_server_bandwidth_mbps: dict[str, float]
-    user_host_id: str
     user_total_bytes: float
     user_bandwidth_mbps: float
     server_cluster: dict[str, int]
@@ -309,12 +308,11 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     }
     return ExperimentReport(
         label=scenario.state.label,
-        topology_id=topology.fingerprint(),
+        topology=topology,
         duration_s=scenario.duration_s,
         per_server_requests=counts,
         per_server_bytes=bytes_mb,
         per_server_bandwidth_mbps=bandwidth,
-        user_host_id=topology.user_host_id,
         user_total_bytes=float(sum(bytes_mb.values())),
         user_bandwidth_mbps=float(sum(bandwidth.values())),
         server_cluster=server_cluster,
@@ -333,7 +331,7 @@ def report_csv(report: ExperimentReport) -> str:
         )
     total_requests = sum(report.per_server_requests.values())
     lines.append(
-        f"{report.user_host_id},user,{total_requests},"
+        f"{report.topology.user_host_id},user,{total_requests},"
         f"{report.user_total_bytes:.4f},{report.user_bandwidth_mbps:.4f},"
     )
     return "\n".join(lines) + "\n"
@@ -387,7 +385,7 @@ def compare_reports(reports: list[ExperimentReport]) -> ComparisonTable:
     report (the baseline state)."""
     if not reports:
         raise SimulationError("need at least one report")
-    if len({report.topology_id for report in reports}) > 1:
+    if any(report.topology != reports[0].topology for report in reports):
         raise SimulationError("reports come from different topologies")
 
     aggregates = [_cluster_aggregate(report) for report in reports]

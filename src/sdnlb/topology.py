@@ -9,14 +9,13 @@ tree that every route and feature is read off; from every switch it gives
 all_pairs_shortest_paths. A Topology is immutable: validation ranks the
 nodes by natural id, sorts the links by their ends' ranks, and builds its
 indexes (lists indexed by rank while it runs) and tree in one pass per
-section; its routes, features and fingerprint are built once, on first use,
-and shared. Node and Link are slotted, with hand-written constructors.
+section; its routes and features are built once, on first use, and shared.
+Two topologies are equal when their nodes, links and user switch are. Node
+and Link are slotted, with hand-written constructors.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import re
 from collections import Counter
@@ -322,15 +321,6 @@ class Topology:
         """Per-server (hops, delay) clustering features, read off the tree."""
         reach = [self.tree[self.adjacency[s][0]] for s in self.server_ids]
         return FeatureSet(tuple((float(r.hops), r.delay_ms) for r in reach), self.server_ids)
-
-    @cached_property
-    def _fingerprint(self) -> str:
-        payload = json.dumps(self.document(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the serialized document."""
-        return self._fingerprint
 
 
 # -- document ingestion ---------------------------------------------------

@@ -76,16 +76,17 @@ def _at(document, at):
 def mutated_documents(draw):
     """A base document with one to three mutations: one number field set to
     the same odd number in every entry (each link's delay, say), any value
-    replaced by an odd one, a key or list entry removed, or a list entry
+    replaced by an odd one, a key or list entry removed, a list entry
     duplicated (a node or link given twice; a duplicate key in JSON text
-    parses to the last value, which the replacement covers)."""
+    parses to the last value, which the replacement covers), or one link end
+    set to another node id of the document (a host linked to a host, say)."""
     document = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
     for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
         at = draw(st.sampled_from(list(_locations(document))))
         if not at:
             return draw(ODD_VALUES)  # the whole document replaced
         parent = _at(document, at[:-1])
-        kind = draw(st.sampled_from(["number", "replace", "remove", "duplicate"]))
+        kind = draw(st.sampled_from(["number", "replace", "remove", "duplicate", "relink"]))
         if kind == "number":
             numbers = [  # (section, index, key) of each number in a node or link entry
                 at for at in _locations(document) if len(at) == 3 and isinstance(_at(document, at), (int, float))
@@ -100,6 +101,13 @@ def mutated_documents(draw):
             parent[at[-1]] = draw(ODD_VALUES)
         elif kind == "remove":
             del parent[at[-1]]
+        elif kind == "relink":
+            nodes, links = (v if isinstance(v, list) else [] for v in (document.get("nodes"), document.get("links")))
+            ids = [node["id"] for node in nodes if isinstance(node, dict) and "id" in node]
+            ends = [(link, end) for link in links if isinstance(link, dict) for end in "ab" if end in link]
+            if ids and ends:
+                link, end = draw(st.sampled_from(ends))
+                link[end] = draw(st.sampled_from(ids))
         elif isinstance(parent, list):
             parent.append(copy.deepcopy(parent[at[-1]]))
     return document

@@ -42,7 +42,7 @@ from helpers import (
 )
 
 TOPOLOGY_DOC = build_paper_topology().document()
-# documents whose GET /clusters and GET /pools bodies exceed the 8 KiB reply buffer
+# documents whose GET /clusters and GET /pools bodies exceed io.DEFAULT_BUFFER_SIZE (8 KiB)
 STAR_DOC = star_document(250)
 LAYERED_DOC = layered_topology(4, 6, 14).document()
 
@@ -137,18 +137,6 @@ class TestGetClusters:
         service.get_clusters(k=3)  # cache hit; cursor must survive
         second = service.post_requests(0, 2)["assignments"]
         assert first + second == ["h2", "h3", "h4", "h2"]
-
-    def test_cache_hit_does_no_hashing(self, service, monkeypatch):
-        import sdnlb.topology
-
-        service.put_topology(TOPOLOGY_DOC)
-        first = service.get_clusters(k=3)
-
-        def no_hashing(payload):
-            raise AssertionError("GET /clusters cache hit hashed the topology")
-
-        monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=no_hashing))
-        assert service.get_clusters(k=3) is first
 
     def test_one_current_plan(self, service, monkeypatch):
         import sdnlb.clustering
@@ -915,9 +903,8 @@ def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch, d
     def recording_setup(handler):
         setup(handler)
         nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-        sock_writer = handler.wfile.raw  # under the reply buffer: what reaches the socket
-        write = sock_writer.write
-        sock_writer.write = lambda data: writes.append(bytes(data)) or write(data)
+        write = handler.wfile.write  # unbuffered: each write reaches the socket
+        handler.wfile.write = lambda data: writes.append(bytes(data)) or write(data)
 
     monkeypatch.setattr(_Handler, "setup", recording_setup)
     base, _ = live_server
@@ -942,8 +929,30 @@ def test_each_reply_is_one_write_on_a_nodelay_socket(live_server, monkeypatch, d
     assert len(nodelay) == 1 and nodelay[0] != 0  # one connection, Nagle's algorithm off
     assert len(writes) == len(bodies)
     assert all(write.endswith(b"\r\n\r\n" + body) for write, body in zip(writes, bodies))
-    if document is LAYERED_DOC:  # clusters, pools and requests bodies past the buffer
+    if document is LAYERED_DOC:  # clusters, pools and requests bodies past 8 KiB
         assert sum(len(body) > io.DEFAULT_BUFFER_SIZE for body in bodies) == 5
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(live_server):
+    base, _ = live_server
+    body = json.dumps(TOPOLOGY_DOC).encode()
+    with connection(base) as (conn, rfile):
+        conn.sendall(
+            b"PUT /topology HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n" % len(body)
+        )
+        conn.settimeout(0.5)  # an interim reply held back until the final one times out here
+        start = time.monotonic()
+        assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert rfile.readline() == b"\r\n"
+        assert time.monotonic() - start < 0.5
+        conn.settimeout(5)
+        conn.sendall(body)
+        status, headers, reply = read_reply(rfile)
+        assert "Connection" not in headers
+        plain_exchange(conn, rfile)  # the connection stays open
+    assert status == "HTTP/1.1 200 OK"
+    assert json.loads(reply)["servers"] == 9
 
 
 def test_idle_connection_is_closed_after_the_timeout(live_server, monkeypatch):

@@ -287,15 +287,11 @@ class TestRunExperiment:
         run_experiment(Scenario(topo, pools, ClusteredRR(7)))
         assert [p.cursor for p in pools.pools] == cursors
 
-    def test_experiments_share_one_tree_and_fingerprint(self, monkeypatch):
+    def test_experiments_share_one_tree(self, monkeypatch):
         # three states on one Topology: validation built the tree from the
-        # user switch at load, so no experiment builds it; the routes, the
-        # capacity table and the document hash are built once, on first
-        # use, and every later experiment reuses them; no experiment
-        # computes all-pairs paths
-        import hashlib
-        from types import SimpleNamespace
-
+        # user switch at load, so no experiment builds it; the routes and
+        # the capacity table are built once, on first use, and every later
+        # experiment reuses them; no experiment computes all-pairs paths
         import sdnlb.topology
 
         topo = build_paper_topology()
@@ -305,20 +301,12 @@ class TestRunExperiment:
         tree_builds = count_builds(monkeypatch, Topology, "tree")
         route_builds = count_builds(monkeypatch, Topology, "routes")
         capacity_builds = count_builds(monkeypatch, Topology, "capacity")
-        hashes = []
-
-        def sha256(payload):
-            hashes.append(payload)
-            return hashlib.sha256(payload)
-
-        monkeypatch.setattr(sdnlb.topology, "hashlib", SimpleNamespace(sha256=sha256))
         reports = [
             run_experiment(Scenario(topo, pools, state))
             for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10))
         ]
         compare_reports(reports)
         assert paths_calls == []
-        assert len(hashes) == 1
         assert tree_builds == []
         assert route_builds == capacity_builds == [topo]
 
@@ -398,7 +386,7 @@ class TestRunExperiment:
         topo = chain_topology(3)  # its user host is u1
         pools = build_pools(kmeans_cluster(topo.features, ClusteringConfig(k=1)), topo.features)
         report = run_experiment(Scenario(topo, pools, BigClusterRR(4)))
-        assert report.user_host_id == "u1"
+        assert report.topology.user_host_id == "u1"
         assert report_csv(report).splitlines()[-1].startswith("u1,user,4,")
 
 
@@ -472,6 +460,38 @@ class TestCompareReports:
         )
         with pytest.raises(SimulationError, match="topolog"):
             compare_reports([report, other])
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(SimulationError, match="^need at least one report$"):
+            compare_reports([])
+
+    @staticmethod
+    def _report_on(document: dict):
+        topo = load_topology(document)
+        pools = build_pools(kmeans_cluster(topo.features, ClusteringConfig(k=3)), topo.features)
+        return run_experiment(Scenario(topo, pools, ClusteredRR(10)))
+
+    def test_equal_topologies_built_apart_are_accepted(self):
+        reports = [self._report_on(build_paper_topology().document()) for _ in range(2)]
+        assert reports[0].topology is not reports[1].topology
+        table = compare_reports(reports)
+        assert all(r.delta_bytes_mb == 0.0 and r.delta_bandwidth_mbps == 0.0 for r in table.rows)
+
+    def test_topologies_differing_in_one_zero_sign_are_accepted(self):
+        # equal values compare equal: a delay of -0.0 is the delay 0.0
+        document = build_paper_topology().document()
+        document["links"][0]["delay_ms"] = 0.0
+        signed = build_paper_topology().document()
+        signed["links"][0]["delay_ms"] = -0.0
+        compare_reports([self._report_on(document), self._report_on(signed)])
+
+    def test_one_changed_link_delay_is_rejected(self):
+        document = build_paper_topology().document()
+        changed = build_paper_topology().document()
+        changed["links"][-1]["delay_ms"] += 1.0
+        reports = [self._report_on(document), self._report_on(changed)]
+        with pytest.raises(SimulationError, match="^reports come from different topologies$"):
+            compare_reports(reports)
 
     def test_csv_shape(self, paper):
         topo, pools = paper
