@@ -52,15 +52,43 @@ def _load(topology_path: str | None) -> Topology:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+    # UTF-8 whatever the locale, as _load reads; a stream with no bytes under
+    # it (io.StringIO under redirect_stdout) takes the text
+    if out is not None:
+        Path(out).write_text(text, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode())
     else:
-        Path(out).write_text(text)
+        sys.stdout.write(text)
+
+
+_string, _int = json.encoder.encode_basestring_ascii, int.__repr__
+
+
+def _cluster_json(document: dict) -> str:
+    """`json.dumps(document, indent=2)` byte for byte for `Plan.document`'s one
+    shape (at least one server): its leaf encoders, without its Python walk."""
+    servers = ",\n".join(
+        f'    {{\n      "server_id": {_string(s["server_id"])},\n      "cluster": {_int(s["cluster"])}\n    }}'
+        for s in document["servers"]
+    )
+    centroids = ",\n".join(
+        f'    {{\n      "cluster": {_int(c["cluster"])},\n      "mean_hops": {json.dumps(c["mean_hops"])},\n'
+        f'      "mean_delay_ms": {json.dumps(c["mean_delay_ms"])},\n      "size": {_int(c["size"])}\n    }}'
+        for c in document["centroids"]
+    )
+    order = ",\n    ".join(map(_int, document["priority_order"]))
+    return (
+        f'{{\n  "method": {_string(document["method"])},\n  "seed": {_int(document["seed"])},\n'
+        f'  "k": {_int(document["k"])},\n  "servers": [\n{servers}\n  ],\n  "centroids": [\n{centroids}\n  ],\n'
+        f'  "priority_order": [\n    {order}\n  ],\n  "sse": {json.dumps(document["sse"])}\n}}'
+    )
 
 
 def cmd_cluster(args) -> int:
     plan = build_plan(_load(args.topology), args.k, args.method, args.seed)
-    _emit(json.dumps(plan.document, indent=2) + "\n", args.out)
+    _emit(_cluster_json(plan.document) + "\n", args.out)
     return 0
 
 

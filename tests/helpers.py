@@ -14,9 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sdnlb.allocator import Pool, PoolSet
+from sdnlb.allocator import Pool, PoolSet, build_plan
 from sdnlb.clustering import (
     MAX_ITERATIONS,
+    METHODS,
     RESTARTS,
     ClusteringConfig,
     ClusteringError,
@@ -547,6 +548,19 @@ def star_document(n_servers: int) -> dict:
         nodes.append({"id": f"v{i}", "kind": "server_host"})
         links.append({"a": f"v{i}", "b": "s1", "delay_ms": float(i % 7), "capacity_mbps": 100.0})
     return {"nodes": nodes, "links": links, "user_switch": "s1"}
+
+
+def plan_documents(topology: Topology, ks=range(1, 6)) -> list[dict]:
+    """`Plan.document` of `topology` for each method at each k in `ks` that
+    the pipeline accepts (a refused plan has no document)."""
+    documents = []
+    for method in METHODS:
+        for k in ks:
+            try:
+                documents.append(build_plan(topology, k, method, 0).document)
+            except ValueError:
+                pass
+    return documents
 
 
 # -- REST replies on the wire and in process ---------------------------------

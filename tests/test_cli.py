@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,16 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdnlb
-from sdnlb.cli import main
+from sdnlb.allocator import build_plan
+from sdnlb.cli import _cluster_json, main
 from sdnlb.service import make_server
-from sdnlb.topology import build_paper_topology
+from sdnlb.topology import build_paper_topology, load_topology
 
+import golden
 from helpers import (
     BAD_TOPOLOGY_DOCUMENTS,
     CHAIN_BOUND_S,
@@ -23,6 +28,7 @@ from helpers import (
     count_builds,
     count_calls,
     paper_document_renamed,
+    plan_documents,
 )
 
 # sha256 of each paper-repro output at the default flags. The reference
@@ -45,6 +51,17 @@ def truncated(cell: str, printed: str) -> str:
     from sdnlb.allocator import truncate_fraction
 
     return truncate_fraction(Fraction(cell), len(printed.partition(".")[2]))
+
+
+def run_sdnlb(argv: list[str], locale: str) -> subprocess.CompletedProcess:
+    """`python -m sdnlb *argv` in a child whose locale is plain ASCII
+    (`"C"`) or UTF-8 (`"C.UTF-8"`), with no UTF-8 mode or coercion to
+    override it."""
+    env = dict(os.environ, LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    src = str(Path(sdnlb.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sdnlb", *argv], env=env, capture_output=True, timeout=60)
 
 
 @pytest.fixture(scope="module")
@@ -231,21 +248,30 @@ class TestExperiment:
         utf8, escaped = tmp_path / "utf8.json", tmp_path / "escaped.json"
         utf8.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
         escaped.write_bytes(json.dumps(doc).encode("ascii"))
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-        env.pop("PYTHONIOENCODING", None)
-        src = str(Path(sdnlb.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         outputs = []
         for path in (utf8, escaped):
-            done = subprocess.run(
-                [sys.executable, "-m", "sdnlb", "cluster", "--topology", str(path), "--k", "3"],
-                env=env,
-                capture_output=True,
-                timeout=60,
-            )
+            done = run_sdnlb(["cluster", "--topology", str(path), "--k", "3"], "C")
             assert (done.returncode, done.stderr) == (0, b""), done.stderr
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_non_ascii_server_ids_are_written_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # the report names servers "h1²" and "①": stdout and --out carry
+        # UTF-8 whatever encoding the locale names
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)))
+        written = {}
+        for locale in ("C", "C.UTF-8"):
+            out = tmp_path / f"report-{locale}.csv"
+            argv = ["experiment", "--state", "clustered", "--topology", str(path)]
+            to_stdout, to_file = run_sdnlb(argv, locale), run_sdnlb([*argv, "--out", str(out)], locale)
+            for done in (to_stdout, to_file):
+                assert (done.returncode, done.stderr) == (0, b""), done.stderr
+            assert to_file.stdout == b""
+            written[locale] = (to_stdout.stdout, out.read_bytes())
+        assert written["C"] == written["C.UTF-8"]
+        assert written["C"][0] == written["C"][1]
+        assert "h1²" in written["C"][0].decode("utf-8")
 
     def test_custom_topology_file(self, tmp_path):
         doc = build_paper_topology().document()
@@ -352,8 +378,20 @@ class TestOtherCommands:
         path = tmp_path / "topology.json"
         path.write_text(json.dumps(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)))
         assert main(["cluster", "--topology", str(path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert {s["server_id"] for s in doc["servers"]} >= {"h1²", "①"}
+        out = capsys.readouterr().out.encode()
+        plan = build_plan(load_topology(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)), 3, "kmeans", 0)
+        assert out == (json.dumps(plan.document, indent=2) + "\n").encode()
+        assert {s["server_id"] for s in json.loads(out)["servers"]} >= {"h1²", "①"}
+
+    def test_cluster_out_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)))
+        out = tmp_path / "cluster.json"
+        assert main(["cluster", "--topology", str(path), "--method", "spectral"]) == 0
+        printed = capsys.readouterr().out.encode()
+        assert main(["cluster", "--topology", str(path), "--method", "spectral", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -427,3 +465,46 @@ class TestOtherCommands:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# text that JSON escapes: a quote, a backslash, control characters, non-ASCII
+# and non-BMP text (a surrogate pair in \u escapes), and some of anything
+ID_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028éh1²①\U0001f600'), st.characters())
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, 1e16, 5e-324, 30.333333333333332, math.nan, math.inf, -math.inf]), st.floats()
+)
+
+
+@st.composite
+def cluster_documents(draw) -> dict:
+    """A document of `Plan.document`'s shape with drawn ids, k and floats."""
+    ids = draw(st.lists(st.text(ID_CHARS, max_size=6), min_size=1, max_size=12))
+    k = draw(st.integers(1, len(ids)))
+    return {
+        "method": draw(st.sampled_from(["kmeans", "spectral"])),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "k": k,
+        "servers": [{"server_id": sid, "cluster": draw(st.integers(0, k - 1))} for sid in ids],
+        "centroids": [
+            {"cluster": c, "mean_hops": draw(FLOATS), "mean_delay_ms": draw(FLOATS), "size": draw(st.integers(0, 99))}
+            for c in range(k)
+        ],
+        "priority_order": draw(st.permutations(range(k))),
+        "sse": draw(FLOATS),
+    }
+
+
+class TestClusterWriter:
+    """`sdnlb cluster` writes `json.dumps(document, indent=2)` byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_documents())
+    def test_writer_equals_indented_json_dumps(self, document):
+        assert _cluster_json(document) == json.dumps(document, indent=2)
+
+    @pytest.mark.parametrize("case", golden.case_names())
+    def test_writer_equals_indented_json_dumps_on_golden_plans(self, case):
+        documents = plan_documents(golden._topology(case))
+        assert documents or case == "no-server"
+        for document in documents:
+            assert _cluster_json(document) == json.dumps(document, indent=2)
