@@ -9,7 +9,7 @@ to one request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -42,9 +42,6 @@ class Pool:
         self.cursor = (self.cursor + 1) % len(self.members)
         return server
 
-    def copy(self) -> "Pool":
-        return Pool(self.cluster_index, self.members, self.centroid, self.cursor)
-
 
 @dataclass
 class PoolSet:
@@ -60,7 +57,7 @@ class PoolSet:
         return tuple(s for pool in self.pools for s in pool.members)
 
     def copy(self) -> "PoolSet":
-        return PoolSet([p.copy() for p in self.pools])
+        return PoolSet([replace(pool) for pool in self.pools])
 
 
 # -- dispatch targets -------------------------------------------------------
@@ -243,17 +240,16 @@ def truncate_fraction(value: Fraction, decimals: int) -> str:
 # -- pool export (controller LB payload shape) -------------------------------
 
 
-def pool_export(pools: PoolSet, labels: dict[str, str] | None = None) -> dict:
+def pool_export(pools: PoolSet, labels: dict[str, str]) -> dict:
     """Controller-style load-balancer payload: one entry per pool with a
     vip label, member list, and the rotation policy. Field order is stable."""
-    labels = labels or {}
     return {
         "pools": [
             {
                 "pool_id": f"pool-{pool.cluster_index}",
                 "vip_label": f"vip-{pool.cluster_index}",
                 "members": [
-                    {"server_id": s, "address_label": labels.get(s, s)} for s in pool.members
+                    {"server_id": s, "address_label": labels[s]} for s in pool.members
                 ],
                 "policy": "round-robin",
             }

@@ -51,16 +51,22 @@ def _load(topology_path: str | None) -> Topology:
     return load_topology(document)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(stream, text: str, errors: str = "strict") -> None:
     # UTF-8 whatever the locale, as _load reads; a stream with no bytes under
-    # it (io.StringIO under redirect_stdout) takes the text
+    # it (io.StringIO under a redirect) takes the text
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream.buffer.write(text.encode(errors=errors))
+        stream.buffer.flush()
+    else:
+        stream.write(text)
+
+
+def _emit(text: str, out: str | None) -> None:
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode())
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
 
 
 _string, _int = json.encoder.encode_basestring_ascii, int.__repr__
@@ -276,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an id that is a lone surrogate reads as its escape, as stderr has it
+        _write(sys.stderr, f"error: {exc}\n", errors="backslashreplace")
         return 2
 
 

@@ -279,8 +279,8 @@ def normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
     if zero.size:
         raise ClusteringError(f"vertex {int(zero[0])} has degree 0")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    L = np.eye(len(A)) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    return (L + L.T) / 2.0
+    # a 0/1 A makes entries (i, j) and (j, i) one product: exactly symmetric
+    return np.eye(len(A)) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
 
 
 def spectral_embedding(adjacency: np.ndarray, k: int) -> np.ndarray:

@@ -230,9 +230,9 @@ def _check_conservation(class_loads, class_links, capacity) -> None:
 
 def _request_counts(scenario: Scenario) -> dict[str, int]:
     """Each state is a split for the allocator: a burst at one server, round
-    robin over one pool of every server, or an equal share per cluster."""
-    pools = scenario.pools.copy()  # the simulation never mutates caller state
-    state = scenario.state
+    robin over one pool of every server, or an equal share per cluster. Only
+    the equal share moves cursors, so only it copies the caller's pools."""
+    pools, state = scenario.pools, scenario.state
     try:
         if isinstance(state, SingleServerBurst):
             total, split = state.requests, SingleServer(state.server_id)
@@ -241,7 +241,7 @@ def _request_counts(scenario: Scenario) -> dict[str, int]:
             servers = tuple(sorted(pools.all_servers(), key=natural_key))
             pools, total, split = PoolSet([Pool(0, servers, (0.0, 0.0))]), state.requests, SingleCluster(0)
         elif isinstance(state, ClusteredRR):
-            total, split = state.requests_per_cluster * len(pools.pools), EqualPerCluster()
+            pools, total, split = pools.copy(), state.requests_per_cluster * len(pools.pools), EqualPerCluster()
         else:
             raise SimulationError(f"unknown state {state!r}")
         return distribute_requests(pools, total, split)
@@ -249,17 +249,21 @@ def _request_counts(scenario: Scenario) -> dict[str, int]:
         raise SimulationError(f"{state.label}: {exc}") from exc
 
 
-def _check_members(topology: Topology, pools: PoolSet) -> None:
-    """Every pool member must be a server host of the topology, whether or
-    not a request reaches it."""
-    server_switch = topology.server_switch
-    for server in pools.all_servers():
-        if server not in server_switch:
-            node = topology.node_map.get(server)
+def _server_clusters(topology: Topology, pools: PoolSet) -> dict[str, int]:
+    """The cluster of each pool member, in pool order. Every member must be a
+    server host of the topology, whether or not a request reaches it."""
+    # a local, as an enum member lookup costs about as much as the check
+    node_map, server_cluster, server_host = topology.node_map, {}, NodeKind.SERVER_HOST
+    for pool in pools.pools:
+        for server in pool.members:
+            node = node_map.get(server)
             if node is None:
                 raise TopologyError(f"unknown node id '{server}'")
-            kind = "a switch" if node.kind is NodeKind.SWITCH else "the user host"
-            raise TopologyError(f"'{server}' is {kind}, not a server host")
+            if node.kind is not server_host:
+                kind = "a switch" if node.kind is NodeKind.SWITCH else "the user host"
+                raise TopologyError(f"'{server}' is {kind}, not a server host")
+            server_cluster[server] = pool.cluster_index
+    return server_cluster
 
 
 def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -> list[Flow]:
@@ -285,10 +289,10 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     member that is not a server host of the topology is a TopologyError
     naming it, even if no request would reach it."""
     topology = scenario.topology
-    _check_members(topology, scenario.pools)
+    server_cluster = _server_clusters(topology, scenario.pools)
     counts = _request_counts(scenario)
-    routes, server_switch = topology.routes, topology.server_switch
-    switch_of = {server: server_switch[server] for server, count in counts.items() if count}
+    routes, adjacency = topology.routes, topology.adjacency
+    switch_of = {server: adjacency[server][0] for server, count in counts.items() if count}
     load: dict[str, int] = {}
     for server, switch in switch_of.items():
         load[switch] = load.get(switch, 0) + counts[server]
@@ -302,10 +306,6 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     for server, switch in switch_of.items():
         bandwidth[server] = counts[server] * rate[switch]
     bytes_mb = {s: bw * scenario.duration_s / 8.0 for s, bw in bandwidth.items()}
-
-    server_cluster = {
-        s: pool.cluster_index for pool in scenario.pools.pools for s in pool.members
-    }
     return ExperimentReport(
         label=scenario.state.label,
         topology=topology,

@@ -286,11 +286,6 @@ class Topology:
         return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
 
     @cached_property
-    def server_switch(self) -> Mapping[str, str]:
-        """The switch each server host attaches to, by server id (read-only)."""
-        return MappingProxyType({s: self.adjacency[s][0] for s in self.server_ids})
-
-    @cached_property
     def tree(self) -> Mapping[str, Reach]:
         """Shortest-path tree from user_switch by the one rule (see
         _shortest_paths_from), breadth-first and read-only. Validation

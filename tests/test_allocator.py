@@ -338,8 +338,9 @@ class TestPoolExport:
         assert first["members"][0] == {"server_id": "h2", "address_label": "10.0.0.2"}
 
     def test_every_server_in_exactly_one_pool(self, paper_pools):
-        _, features, _, pools = paper_pools
+        topo, features, _, pools = paper_pools
+        labels = {n.id: n.display for n in topo.nodes}
         exported = [
-            m["server_id"] for p in pool_export(pools)["pools"] for m in p["members"]
+            m["server_id"] for p in pool_export(pools, labels)["pools"] for m in p["members"]
         ]
         assert sorted(exported) == sorted(features.server_ids)

@@ -255,6 +255,27 @@ class TestExperiment:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "missing,shown",
+        [
+            ("ü-missing", "ü-missing".encode()),
+            # a lone surrogate has no UTF-8 form: it reads as its escape
+            ("\udc80", b"\\udc80"),
+        ],
+        ids=["non-ascii", "lone-surrogate"],
+    )
+    def test_error_lines_are_utf8_under_an_ascii_locale(self, tmp_path, missing, shown):
+        doc = build_paper_topology().document()
+        doc["links"].append({"a": "s1", "b": missing, "delay_ms": 1.0, "capacity_mbps": 1.0})
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(doc))
+        argv = ["cluster", "--topology", str(path)]
+        runs = [run_sdnlb(argv, locale) for locale in ("C", "C.UTF-8")]
+        for done in runs:
+            assert (done.returncode, done.stdout) == (2, b""), done.stderr
+        assert runs[0].stderr == runs[1].stderr
+        assert runs[0].stderr == b"error: link s1-%s references unknown node id '%s'\n" % (shown, shown)
+
     def test_non_ascii_server_ids_are_written_as_utf8_under_an_ascii_locale(self, tmp_path):
         # the report names servers "h1²" and "①": stdout and --out carry
         # UTF-8 whatever encoding the locale names

@@ -36,6 +36,7 @@ from sdnlb.topology import (
 
 import golden
 from helpers import brute_force_kmeans, random_connected_topology, restarts_oracle, squared_distances_oracle
+from test_input_contract import GENERATED_DOCUMENTS
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +552,18 @@ class TestSpectral:
         values, _ = sym_eigendecomposition(laplacian)
         assert values[0] >= -1e-8
         assert values[-1] <= 2.0 + 1e-8
+
+    def test_laplacian_of_a_switch_graph_is_exactly_symmetric(self):
+        # normalized_laplacian does not symmetrize: entries (i, j) and (j, i)
+        # of a 0/1 adjacency are the same product of the two inverse roots
+        topologies = {f"golden {case}": golden._topology(case) for case in golden.case_names()}
+        topologies.update({f"generated {name}": load_topology(doc) for name, doc in GENERATED_DOCUMENTS.items()})
+        single = [name for name, topo in topologies.items() if len(topo.switch_ids) < 2]
+        assert single == ["golden one-switch", "golden no-server"]  # no switch links: refused
+        for name, topo in topologies.items():
+            if name not in single:
+                laplacian = normalized_laplacian(topo.switch_adjacency())
+                assert np.array_equal(laplacian, laplacian.T), name
 
     def test_laplacian_names_an_isolated_vertex(self):
         adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

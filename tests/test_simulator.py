@@ -281,6 +281,21 @@ class TestRunExperiment:
         with pytest.raises(sdnlb.topology.TopologyError, match=f"^'{member}' is {kind}, not a server host$"):
             run_experiment(Scenario(topo, pools, state))
 
+    @pytest.mark.parametrize(
+        "pools,named",
+        [
+            ((("h2", "s1"), ("h3", "h99")), "^'s1' is a switch, not a server host$"),
+            ((("h3", "h99"), ("h2", "s1")), "^unknown node id 'h99'$"),
+        ],
+        ids=["switch-first", "unknown-first"],
+    )
+    @pytest.mark.parametrize("state", [SingleServerBurst("h2", 5), BigClusterRR(2), ClusteredRR(1)])
+    def test_the_first_bad_member_in_pool_order_is_named(self, paper, pools, named, state):
+        topo, _ = paper
+        pool_set = PoolSet([Pool(c, members, (0.0, 0.0)) for c, members in enumerate(pools)])
+        with pytest.raises(sdnlb.topology.TopologyError, match=named):
+            run_experiment(Scenario(topo, pool_set, state))
+
     def test_scenario_pools_not_mutated(self, paper):
         topo, pools = paper
         cursors = [p.cursor for p in pools.pools]
