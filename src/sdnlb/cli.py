@@ -51,20 +51,21 @@ def _load(topology_path: str | None) -> Topology:
     return load_topology(document)
 
 
-def _write(stream, text: str, errors: str = "strict") -> None:
-    # UTF-8 whatever the locale, as _load reads; a stream with no bytes under
-    # it (io.StringIO under a redirect) takes the text
+def _write(stream, text: str) -> None:
+    # UTF-8 whatever the locale, as _load reads, and an id that is a lone
+    # surrogate (it has no UTF-8 form) as its escape; a stream with no bytes
+    # under it (io.StringIO under a redirect) takes the text
     if hasattr(stream, "buffer"):
         stream.flush()
-        stream.buffer.write(text.encode(errors=errors))
+        stream.buffer.write(text.encode(errors="backslashreplace"))
         stream.buffer.flush()
     else:
         stream.write(text)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
+    if out is not None:  # the bytes _write would print
+        Path(out).write_text(text, encoding="utf-8", errors="backslashreplace")
     else:
         _write(sys.stdout, text)
 
@@ -282,8 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        # an id that is a lone surrogate reads as its escape, as stderr has it
-        _write(sys.stderr, f"error: {exc}\n", errors="backslashreplace")
+        _write(sys.stderr, f"error: {exc}\n")
         return 2
 
 

@@ -147,54 +147,77 @@ def _fill_classes(
     saturates (its level is the spare capacity over the multiplicity of its
     live classes, and those classes freeze at that level) or a class hits
     its window/RTT cap. A frozen class adds m * rate to the load of each of
-    its links. Links are visited in id order, so ties resolve
-    deterministically. The cost grows with the classes and their path
-    lengths, not with the number of flows (Bertsekas & Gallager, Data
-    Networks, section 6.5.2).
+    its links. Cap-frozen classes freeze in class order, then link-frozen
+    ones in link-id order, so ties resolve deterministically. The cost grows
+    with the classes and their path lengths, not with the number of flows
+    (Bertsekas & Gallager, Data Networks, section 6.5.2).
+
+    The live links' levels are kept from round to round, a round re-levels
+    only the links of the classes it froze, and a cursor walks the classes
+    sorted once by cap. So a round costs two passes over the live links
+    (their least level, then those at it) plus the path lengths of the
+    classes it freezes, not a pass over every link and class.
     """
     class_links = [keys for keys, _, _ in classes]
     caps = [window_rate_cap_mbps(rtt_window_bytes, rtt) for _, rtt, _ in classes]
     mult = [m for _, _, m in classes]
 
-    links = sorted({key for keys in class_links for key in keys})
-    members: dict[tuple[str, str], list[int]] = {key: [] for key in links}
-    for c, keys in enumerate(class_links):
+    members: dict[tuple[str, str], list[int]] = {}
+    live_weight: dict[tuple[str, str], int] = {}
+    for c, (keys, _, m) in enumerate(classes):
         for key in keys:
-            members[key].append(c)
-    live_weight = {key: sum(mult[c] for c in members[key]) for key in links}
-    frozen_load = dict.fromkeys(links, 0.0)
+            members.setdefault(key, []).append(c)
+            live_weight[key] = live_weight.get(key, 0) + m
+    frozen_load = dict.fromkeys(members, 0.0)
+    # in link-id order; a link leaves once no live class crosses it
+    levels = {key: capacity[key] / live_weight[key] for key in sorted(members) if live_weight[key]}
 
     rates = [0.0] * len(caps)
     active = [True] * len(caps)
-
-    def freeze(c: int, rate: float) -> None:
-        rates[c] = rate
-        active[c] = False
-        for key in class_links[c]:
-            frozen_load[key] += mult[c] * rate
-            live_weight[key] -= mult[c]
+    live = len(caps)
+    by_cap = sorted(range(len(caps)), key=caps.__getitem__)
+    lowest = 0  # by_cap[:lowest] are frozen
 
     for rounds in range(len(caps) + 1):  # each round freezes at least one class
-        if not any(active):
+        if not live:
             break
-        link_levels = {
-            key: (capacity[key] - frozen_load[key]) / live_weight[key]
-            for key in links
-            if live_weight[key]
-        }
-        cap_level = min(cap for cap, live in zip(caps, active) if live)
-        if not link_levels and math.isinf(cap_level):
+        while not active[by_cap[lowest]]:
+            lowest += 1
+        cap_level = caps[by_cap[lowest]]
+        if not levels and math.isinf(cap_level):
             raise SimulationError("flow without any capacity constraint (empty path, zero rtt)")
-        level = min(min(link_levels.values(), default=math.inf), cap_level)
+        level = min(min(levels.values(), default=math.inf), cap_level)
+        ceiling = level + _LEVEL_TOL
 
-        for c, cap in enumerate(caps):
-            if active[c] and cap <= level + _LEVEL_TOL:
-                freeze(c, cap)
-        for key, link_level in link_levels.items():
-            if link_level <= level + _LEVEL_TOL:
+        # pick the round's classes against the levels the round began with,
+        # then add their loads in the order they froze
+        end = lowest
+        while end < len(caps) and caps[by_cap[end]] <= ceiling:
+            end += 1
+        frozen = [c for c in sorted(by_cap[lowest:end]) if active[c]]
+        lowest = end
+        for c in frozen:
+            active[c] = False
+            rates[c] = caps[c]
+        for key, link_level in levels.items():
+            if link_level <= ceiling:
                 for c in members[key]:
                     if active[c]:
-                        freeze(c, level)
+                        active[c] = False
+                        rates[c] = level
+                        frozen.append(c)
+        live -= len(frozen)
+        for c in frozen:
+            m = mult[c]
+            load = m * rates[c]
+            for key in class_links[c]:
+                frozen_load[key] += load
+                live_weight[key] -= m
+        for key in {key for c in frozen for key in class_links[c]}:
+            if live_weight[key]:
+                levels[key] = (capacity[key] - frozen_load[key]) / live_weight[key]
+            else:
+                levels.pop(key, None)
     else:
         raise SimulationError(f"progressive filling left classes unfrozen after {len(caps) + 1} rounds")
 
@@ -231,14 +254,17 @@ def _check_conservation(class_loads, class_links, capacity) -> None:
 def _request_counts(scenario: Scenario) -> dict[str, int]:
     """Each state is a split for the allocator: a burst at one server, round
     robin over one pool of every server, or an equal share per cluster. Only
-    the equal share moves cursors, so only it copies the caller's pools."""
+    the equal share moves cursors, so only it copies the caller's pools. The
+    pools must hold server hosts of the topology, each in one pool (see
+    _server_clusters)."""
     pools, state = scenario.pools, scenario.state
     try:
         if isinstance(state, SingleServerBurst):
             total, split = state.requests, SingleServer(state.server_id)
         elif isinstance(state, BigClusterRR):
-            # one pool of every server, in natural order, from the first
-            servers = tuple(sorted(pools.all_servers(), key=natural_key))
+            # one pool of every server, from the first, in natural order: the topology's
+            members = set(pools.all_servers())
+            servers = tuple(s for s in scenario.topology.server_ids if s in members)
             pools, total, split = PoolSet([Pool(0, servers, (0.0, 0.0))]), state.requests, SingleCluster(0)
         elif isinstance(state, ClusteredRR):
             pools, total, split = pools.copy(), state.requests_per_cluster * len(pools.pools), EqualPerCluster()
@@ -251,7 +277,8 @@ def _request_counts(scenario: Scenario) -> dict[str, int]:
 
 def _server_clusters(topology: Topology, pools: PoolSet) -> dict[str, int]:
     """The cluster of each pool member, in pool order. Every member must be a
-    server host of the topology, whether or not a request reaches it."""
+    server host of the topology, and in one pool only, whether or not a
+    request reaches it."""
     # a local, as an enum member lookup costs about as much as the check
     node_map, server_cluster, server_host = topology.node_map, {}, NodeKind.SERVER_HOST
     for pool in pools.pools:
@@ -262,6 +289,10 @@ def _server_clusters(topology: Topology, pools: PoolSet) -> dict[str, int]:
             if node.kind is not server_host:
                 kind = "a switch" if node.kind is NodeKind.SWITCH else "the user host"
                 raise TopologyError(f"'{server}' is {kind}, not a server host")
+            if server in server_cluster:
+                raise SimulationError(
+                    f"server '{server}' is in two pools: clusters {server_cluster[server]} and {pool.cluster_index}"
+                )
             server_cluster[server] = pool.cluster_index
     return server_cluster
 
@@ -287,7 +318,8 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     per-server requests, transferred megabytes, and bandwidth: one flow
     class per loaded switch, and count * class rate per server. A pool
     member that is not a server host of the topology is a TopologyError
-    naming it, even if no request would reach it."""
+    naming it, and one in two pools a SimulationError naming it and both
+    clusters, even if no request would reach it."""
     topology = scenario.topology
     server_cluster = _server_clusters(topology, scenario.pools)
     counts = _request_counts(scenario)

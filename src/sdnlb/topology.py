@@ -175,11 +175,13 @@ class Topology:
         rank pair, so a duplicate is the one equal to the previous) and
         indexes it; the host checks read those lists; then the tree."""
         nodes, user_switch = self.nodes, self.user_switch
+        # locals, as an enum member lookup costs about as much as the test
+        switch_kind, user_kind, server_kind = NodeKind.SWITCH, NodeKind.USER_HOST, NodeKind.SERVER_HOST
         if len(rank) != len(nodes):
             duplicate = next(i for i, c in Counter(n.id for n in nodes).items() if c > 1)
             raise TopologyError(f"duplicate node id '{duplicate}'")
         ids = [n.id for n in nodes]
-        switch_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SWITCH)
+        switch_ids = tuple(n.id for n in nodes if n.kind is switch_kind)
         switch_index = {s: i for i, s in enumerate(switch_ids)}
         slot = [switch_index.get(node_id, -1) for node_id in ids]  # -1 for a host
 
@@ -207,7 +209,7 @@ class Topology:
         if user_switch not in switch_index:
             raise TopologyError(f"user_switch '{user_switch}' must be a switch")
 
-        user_hosts = [n.id for n in nodes if n.kind is NodeKind.USER_HOST]
+        user_hosts = [n.id for n in nodes if n.kind is user_kind]
         if len(user_hosts) != 1:
             raise TopologyError(f"expected exactly one user_host, found {len(user_hosts)}")
 
@@ -229,7 +231,7 @@ class Topology:
             switch_ids=switch_ids,
             switch_index=MappingProxyType(switch_index),
             switch_links=tuple(map(tuple, switch_links)),
-            server_ids=tuple(n.id for n in nodes if n.kind is NodeKind.SERVER_HOST),
+            server_ids=tuple(n.id for n in nodes if n.kind is server_kind),
             user_host_id=user_hosts[0],
         )
 
@@ -237,7 +239,7 @@ class Topology:
         tree = self.tree
         if len(tree) < len(switch_ids):
             unreachable = next(
-                n for n in nodes if (n.id if n.kind is NodeKind.SWITCH else adjacency[n.id][0]) not in tree
+                n for n in nodes if (n.id if n.kind is switch_kind else adjacency[n.id][0]) not in tree
             )
             raise TopologyError(f"graph is disconnected: node '{unreachable.id}' unreachable")
 

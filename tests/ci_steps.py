@@ -7,6 +7,7 @@ they make rests on an assert:
     python -O tests/ci_steps.py wire-bodies
     python -O tests/ci_steps.py kmeans-restarts
     python -O tests/ci_steps.py cluster-writer
+    python -O tests/ci_steps.py fill-classes
     python tests/ci_steps.py paper-repro-digests <paper-repro output directory>
 
 Each prints one summary line and exits nonzero, naming what failed, if a
@@ -165,6 +166,24 @@ def cluster_writer():
     return "\n".join(bad) if bad or not checked else 0
 
 
+def fill_classes():
+    """On 5,000 seeded class sets, the incremental fair-share solver gives
+    the round-by-round oracle's rate bits, rounds and error text."""
+    import random
+    import time
+
+    from helpers import fill_classes_oracle, fill_outcome, random_fill_instance
+    from sdnlb.simulator import _fill_classes
+
+    start, bad = time.perf_counter(), []
+    for seed in range(5000):
+        instance = random_fill_instance(random.Random(seed))
+        if fill_outcome(_fill_classes, *instance) != fill_outcome(fill_classes_oracle, *instance):
+            bad.append(f"seed {seed}: {instance!r:.300}")
+    print(f"5000 class sets, {len(bad)} not solved as the oracle solves them ({time.perf_counter() - start:.1f} s)")
+    return "\n".join(bad[:20]) if bad else 0
+
+
 def paper_repro_digests(out_dir: str):
     """Each `sdnlb paper-repro` output in `out_dir` has its pinned sha256."""
     import hashlib
@@ -182,6 +201,7 @@ STEPS = {
     "wire-bodies": wire_bodies,
     "kmeans-restarts": kmeans_restarts,
     "cluster-writer": cluster_writer,
+    "fill-classes": fill_classes,
     "paper-repro-digests": paper_repro_digests,
 }
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from sdnlb import simulator
 from sdnlb.allocator import Pool, PoolSet, build_plan
 from sdnlb.clustering import (
     MAX_ITERATIONS,
@@ -349,6 +350,113 @@ def per_flow_max_min_rates(
                 frozen_load[key] += rates[i]
         active -= frozen
     return rates
+
+
+def fill_classes_oracle(classes, capacity, rtt_window_bytes: float) -> tuple[list[float], int]:
+    """Progressive filling over flow classes, every level rebuilt and every
+    class scanned on every round (the loop the incremental solver replaced):
+    returns the rate of one flow of each class and the number of rounds, or
+    raises the solver's SimulationError."""
+    class_links = [keys for keys, _, _ in classes]
+    caps = [window_rate_cap_mbps(rtt_window_bytes, rtt) for _, rtt, _ in classes]
+    mult = [m for _, _, m in classes]
+
+    links = sorted({key for keys in class_links for key in keys})
+    members: dict[tuple[str, str], list[int]] = {key: [] for key in links}
+    for c, keys in enumerate(class_links):
+        for key in keys:
+            members[key].append(c)
+    live_weight = {key: sum(mult[c] for c in members[key]) for key in links}
+    frozen_load = dict.fromkeys(links, 0.0)
+
+    rates = [0.0] * len(caps)
+    active = [True] * len(caps)
+
+    def freeze(c: int, rate: float) -> None:
+        rates[c] = rate
+        active[c] = False
+        for key in class_links[c]:
+            frozen_load[key] += mult[c] * rate
+            live_weight[key] -= mult[c]
+
+    tol = simulator._LEVEL_TOL
+    for rounds in range(len(caps) + 1):  # each round freezes at least one class
+        if not any(active):
+            break
+        link_levels = {
+            key: (capacity[key] - frozen_load[key]) / live_weight[key] for key in links if live_weight[key]
+        }
+        cap_level = min(cap for cap, live in zip(caps, active) if live)
+        if not link_levels and math.isinf(cap_level):
+            raise SimulationError("flow without any capacity constraint (empty path, zero rtt)")
+        level = min(min(link_levels.values(), default=math.inf), cap_level)
+
+        for c, cap in enumerate(caps):
+            if active[c] and cap <= level + tol:
+                freeze(c, cap)
+        for key, link_level in link_levels.items():
+            if link_level <= level + tol:
+                for c in members[key]:
+                    if active[c]:
+                        freeze(c, level)
+    else:
+        raise SimulationError(f"progressive filling left classes unfrozen after {len(caps) + 1} rounds")
+
+    loads: dict[tuple[str, str], float] = {}
+    for c, keys in enumerate(class_links):
+        for key in keys:
+            loads[key] = loads.get(key, 0.0) + mult[c] * rates[c]
+    for key, load in loads.items():
+        if load > capacity[key] + 1e-9:
+            raise SimulationError(f"link {key[0]}-{key[1]} oversubscribed: {load} Mbps")
+    return rates, rounds
+
+
+def random_fill_instance(rnd: random.Random):
+    """A random class set for the fair-share solver: (classes, capacity,
+    rtt_window_bytes). The links form a random tree of 1-12 switches under
+    s0, and each class routes from s0 to a random switch, so classes share
+    links. Capacities and delays come from small sets, so equal levels and
+    equal caps tie, as do caps an rtt nudged by a few ulps sets apart; a
+    zero delay sum makes an infinite cap (unless nudged); s0 itself gives an
+    empty path. Multiplicities run from 1 to 10**6. The window is drawn,
+    or set so that one class's cap lands on one link's first level, within
+    rounding."""
+    n = rnd.randint(1, 12)
+    parent = [None] + [rnd.randrange(i) for i in range(1, n)]
+    capacity, up, delay = {}, [()] * n, [0.0] * n
+    for i in range(1, n):
+        key = (f"s{parent[i]}", f"s{i}")
+        capacity[key] = rnd.choice([10.0, 100.0, 100.0, 1000.0, rnd.uniform(1.0, 1000.0)])
+        up[i] = up[parent[i]] + (key,)
+        delay[i] = delay[parent[i]] + rnd.choice([0.0, 0.0, 1.0, 2.5, 5.0, rnd.uniform(0.1, 20.0)])
+    targets = [rnd.randrange(1, n) if n > 1 else 0 for _ in range(rnd.randint(1, 12))]
+    if rnd.random() < 0.05:
+        targets.append(0)  # an empty path and rtt 0: no constraint at all
+    classes = []
+    for t in targets:
+        rtt = 2.0 * delay[t]
+        for _ in range(rnd.choice([0, 0, 0, 1, 2])):  # caps a few ulps apart tie within _LEVEL_TOL
+            rtt = math.nextafter(rtt, math.inf)
+        classes.append((up[t], rtt, rnd.choice([1, 1, 2, 3, rnd.randint(1, 1000), 10**6])))
+    if rnd.random() < 0.3 and classes[0][0] and classes[0][1] > 0.0:
+        keys, rtt, _ = classes[0]
+        key = rnd.choice(keys)
+        weight = sum(m for path, _, m in classes if key in path)
+        window = capacity[key] / weight * rtt / 8e-3
+    else:
+        window = rnd.choice([8192.0, 65536.0, 262144.0, 1e12])
+    return classes, capacity, window
+
+
+def fill_outcome(fill, classes, capacity, rtt_window_bytes: float):
+    """What a solver gives: ("rates", the rates as float.hex, so that the
+    bits must match, and the rounds) or ("error", its message)."""
+    try:
+        rates, rounds = fill(classes, capacity, rtt_window_bytes)
+    except SimulationError as exc:
+        return ("error", str(exc))
+    return ("rates", [float(rate).hex() for rate in rates], rounds)
 
 
 def per_flow_experiment(scenario) -> tuple[dict[str, int], dict[str, float]]:

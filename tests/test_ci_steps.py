@@ -21,6 +21,12 @@ def test_bad_documents_step_passes(capsys):
     assert capsys.readouterr().out.endswith(" bad documents, 0 not refused by name\n")
 
 
+def test_fill_classes_step_passes(capsys):
+    assert ci_steps.main(["fill-classes"]) == 0
+    printed = capsys.readouterr().out
+    assert re.fullmatch(r"5000 class sets, 0 not solved as the oracle solves them \(\d+\.\d s\)\n", printed)
+
+
 def test_unknown_step_exits_2(capsys):
     assert ci_steps.main(["no-such-step"]) == 2
     assert capsys.readouterr().err.startswith("usage: python tests/ci_steps.py {bad-documents,")

@@ -276,11 +276,20 @@ class TestExperiment:
         assert runs[0].stderr == runs[1].stderr
         assert runs[0].stderr == b"error: link s1-%s references unknown node id '%s'\n" % (shown, shown)
 
-    def test_non_ascii_server_ids_are_written_as_utf8_under_an_ascii_locale(self, tmp_path):
-        # the report names servers "h1²" and "①": stdout and --out carry
-        # UTF-8 whatever encoding the locale names
+    @pytest.mark.parametrize(
+        "names,shown",
+        [
+            (NON_DECIMAL_DIGIT_IDS, "h1²".encode()),
+            # a lone surrogate has no UTF-8 form: it reads as its escape
+            ({"h10": "\udc80"}, b"\\udc80,server,"),
+        ],
+        ids=["non-ascii", "lone-surrogate"],
+    )
+    def test_non_ascii_server_ids_are_written_as_utf8_under_an_ascii_locale(self, tmp_path, names, shown):
+        # the report names servers "h1²" and "①", or "\udc80": stdout and
+        # --out carry UTF-8 whatever encoding the locale names
         path = tmp_path / "topology.json"
-        path.write_text(json.dumps(paper_document_renamed(NON_DECIMAL_DIGIT_IDS)))
+        path.write_text(json.dumps(paper_document_renamed(names)))
         written = {}
         for locale in ("C", "C.UTF-8"):
             out = tmp_path / f"report-{locale}.csv"
@@ -292,7 +301,7 @@ class TestExperiment:
             written[locale] = (to_stdout.stdout, out.read_bytes())
         assert written["C"] == written["C.UTF-8"]
         assert written["C"][0] == written["C"][1]
-        assert "h1²" in written["C"][0].decode("utf-8")
+        assert shown in written["C"][0]
 
     def test_custom_topology_file(self, tmp_path):
         doc = build_paper_topology().document()

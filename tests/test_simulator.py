@@ -35,13 +35,17 @@ from sdnlb.topology import (
 from helpers import (
     count_builds,
     count_calls,
+    fill_classes_oracle,
+    fill_outcome,
     is_max_min_fair,
     per_flow_experiment,
     per_flow_max_min_rates,
     random_connected_topology,
+    random_fill_instance,
     random_flow_instance,
     random_pool_set,
     request_counts_oracle,
+    star_document,
 )
 
 BIG_WINDOW = 1e12  # cap never binds
@@ -124,6 +128,14 @@ class TestMaxMinFairRates:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_incremental_filling_equals_the_round_by_round_oracle(self, rnd):
+        # random trees, multiplicities and windows, with ties between equal
+        # levels and caps: the same rate bits, rounds and error text
+        instance = random_fill_instance(rnd)
+        assert fill_outcome(sdnlb.simulator._fill_classes, *instance) == fill_outcome(fill_classes_oracle, *instance)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_fairness_property_on_random_instances(self, seed):
@@ -294,6 +306,24 @@ class TestRunExperiment:
         topo, _ = paper
         pool_set = PoolSet([Pool(c, members, (0.0, 0.0)) for c, members in enumerate(pools)])
         with pytest.raises(sdnlb.topology.TopologyError, match=named):
+            run_experiment(Scenario(topo, pool_set, state))
+
+    @pytest.mark.parametrize(
+        "pools,named",
+        [
+            ((("h2", "h3"), ("h4", "h3")), "^server 'h3' is in two pools: clusters 0 and 1$"),
+            ((("h2",), ("h4", "h5"), ("h6", "h2")), "^server 'h2' is in two pools: clusters 0 and 2$"),
+        ],
+        ids=["two-pools", "first-and-last"],
+    )
+    @pytest.mark.parametrize(
+        "state", [SingleServerBurst("h4", 5), SingleServerBurst("h3", 5), BigClusterRR(7), ClusteredRR(2)]
+    )
+    def test_a_server_in_two_pools_is_named_with_both_clusters(self, paper, pools, named, state):
+        # its requests would all be reported under one cluster's bytes
+        topo, _ = paper
+        pool_set = PoolSet([Pool(c, members, (0.0, 0.0)) for c, members in enumerate(pools)])
+        with pytest.raises(SimulationError, match=named):
             run_experiment(Scenario(topo, pool_set, state))
 
     def test_scenario_pools_not_mutated(self, paper):
@@ -519,8 +549,10 @@ class TestCompareReports:
 class TestRequestCounts:
     @settings(max_examples=150)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 200), st.data())
-    def test_each_state_matches_its_definition(self, paper, seed, n, data):
-        topo, _ = paper
+    def test_each_state_matches_its_definition(self, seed, n, data):
+        # the pools hold servers of the topology, as run_experiment checks
+        # before it counts; the topology has servers in no pool too
+        topo = POOL_TOPOLOGY
         pools = random_pool_set(seed)
         target = data.draw(st.sampled_from(sorted(pools.all_servers())))
         cursors = [p.cursor for p in pools.pools]
@@ -539,6 +571,10 @@ class TestRequestCounts:
         topo, _ = paper
         with pytest.raises(SimulationError, match="clustered: an equal split needs at least one pool"):
             run_experiment(Scenario(topo, PoolSet([]), ClusteredRR(3)))
+
+
+# v1..v24: every server random_pool_set can draw
+POOL_TOPOLOGY = load_topology(star_document(24))
 
 
 def _single_pool(topo):
