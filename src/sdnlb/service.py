@@ -4,9 +4,10 @@ Staged in-memory state: a topology must be uploaded before clusters can be
 computed, and pools exist only once a plan does. One current plan is kept: a
 GET /clusters repeating its parameters returns its body unchanged, and other
 parameters replace it and rebuild the pools. The plan's GET /clusters and
-GET /pools bodies are encoded when that plan is first answered, and a repeated
-request is sent those bytes. A method a path does not serve gets 405 with an
-Allow header. One lock serializes all state changes.
+GET /pools bodies carry their own JSON bytes, encoded on their first reply, so
+a repeated request is sent those bytes. A method a path does not serve gets
+405 with an Allow header. One lock guards the state; an upload is validated
+before it is taken.
 
 Connections are persistent (HTTP/1.1), each served by its own thread, up to
 MAX_CONNECTIONS at once. Every reply, status line, headers and body, goes to
@@ -31,6 +32,7 @@ import threading
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -55,6 +57,14 @@ class ServiceError(Exception):
         return {"error": self.error, "detail": self.detail}
 
 
+class _Stored(dict):
+    """A reply body kept across requests: its JSON bytes are encoded once."""
+
+    @cached_property
+    def payload(self) -> bytes:
+        return json.dumps(self).encode()
+
+
 class LoadBalancerService:
     """In-memory pipeline state plus the handlers behind each endpoint."""
 
@@ -68,16 +78,16 @@ class LoadBalancerService:
         self.pools = None  # the current plan's pools, with their cursors
         self.counters: dict[str, int] = {}
         self._clusters = None  # the current plan's GET /clusters body
-        self._encoded = ()  # (body, bytes) pairs of the current plan's answered bodies
+        self._pools = None  # its GET /pools body, once asked for
 
     # -- endpoint handlers -------------------------------------------------
 
     def put_topology(self, document: dict) -> dict:
+        try:
+            topology = load_topology(document)
+        except TopologyError as exc:
+            raise ServiceError(422, "invalid topology", str(exc)) from exc
         with self._lock:
-            try:
-                topology = load_topology(document)
-            except TopologyError as exc:
-                raise ServiceError(422, "invalid topology", str(exc)) from exc
             self._reset()
             self.topology = topology
             self.counters = {s: 0 for s in topology.server_ids}
@@ -101,15 +111,17 @@ class LoadBalancerService:
                 except (TopologyError, ClusteringError) as exc:
                     raise ServiceError(422, "clustering failed", str(exc)) from exc
                 self.plan, self.pools = plan, plan.pools()
-                self._clusters = {"requested_k": k, **plan.document}
-                self._encoded = ()
+                self._clusters = _Stored({"requested_k": k, **plan.document})
+                self._pools = None
             return self._clusters
 
     def get_pools(self) -> dict:
         with self._lock:
             if self.plan is None:
                 raise ServiceError(409, "no pools", "compute clusters with GET /clusters first")
-            return self.plan.export
+            if self._pools is None:
+                self._pools = _Stored(self.plan.export)
+            return self._pools
 
     def post_requests(self, target, count) -> dict:
         with self._lock:
@@ -156,22 +168,6 @@ class LoadBalancerService:
                 body["load_summary"] = None
             return body
 
-    def encode(self, body: dict) -> bytes:
-        """The JSON bytes of a reply body. The current plan's GET /clusters
-        and GET /pools bodies are encoded on their first reply and kept until
-        the plan is replaced. A body is matched by identity, so the bytes are
-        always those of the dict that the caller holds."""
-        for stored, payload in self._encoded:  # replaced whole under the lock, never changed
-            if stored is body:
-                return payload
-        payload = json.dumps(body).encode()
-        with self._lock:
-            plan = self.plan  # its export exists once a GET /pools built it
-            current = plan is not None and (body is self._clusters or body is vars(plan).get("export"))
-            if current and all(stored is not body for stored, _ in self._encoded):
-                self._encoded += ((body, payload),)
-        return payload
-
 
 # -- HTTP wiring -------------------------------------------------------------
 
@@ -197,7 +193,8 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep test output quiet
 
     def _send(self, status: int, body: dict, allow: str | None = None, close: bool = False) -> None:
-        payload = self.service.encode(body)
+        # a stored body carries its bytes; any other is encoded here
+        payload = body.payload if isinstance(body, _Stored) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

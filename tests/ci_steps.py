@@ -89,15 +89,18 @@ def wire_bodies():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = "http://%s:%d" % server.server_address
     bad, largest = [], 0
-    for name, document in [("layered", layered_topology(4, 6, 14).document()), ("star", star_document(250))]:
-        calls = plan_calls(document)
-        service = LoadBalancerService()
-        for call, wire in zip(calls, replay(base, calls)):
-            expected = in_process_reply(service, *call)
-            largest = max(largest, len(expected[1]))
-            if wire != expected:
-                bad.append(f"{name}: {call[0]} {call[1]}: status {wire[0]}, expected {expected[0]}")
-    server.shutdown()
+    try:
+        for name, document in [("layered", layered_topology(4, 6, 14).document()), ("star", star_document(250))]:
+            calls = plan_calls(document)
+            service = LoadBalancerService()
+            for call, wire in zip(calls, replay(base, calls)):
+                expected = in_process_reply(service, *call)
+                largest = max(largest, len(expected[1]))
+                if wire != expected:
+                    bad.append(f"{name}: {call[0]} {call[1]}: status {wire[0]}, expected {expected[0]}")
+    finally:
+        server.shutdown()
+        server.server_close()
     print(f"largest body {largest} bytes, {len(bad)} wire replies differ")
     return "\n".join(bad) if bad or largest <= 8192 else 0
 

@@ -21,6 +21,11 @@ def test_bad_documents_step_passes(capsys):
     assert capsys.readouterr().out.endswith(" bad documents, 0 not refused by name\n")
 
 
+def test_wire_bodies_step_passes(capsys):
+    assert ci_steps.main(["wire-bodies"]) == 0
+    assert re.fullmatch(r"largest body \d+ bytes, 0 wire replies differ\n", capsys.readouterr().out)
+
+
 def test_fill_classes_step_passes(capsys):
     assert ci_steps.main(["fill-classes"]) == 0
     printed = capsys.readouterr().out

@@ -172,21 +172,22 @@ class TestGetClusters:
         assert service.get_pools()["pools"] != first["pools"]
         assert len(exports) == 2
 
-    def test_encode_keeps_the_current_plan_bodies_by_identity(self, service):
+    def test_the_current_plan_bodies_carry_their_bytes_encoded_once(self, service):
         service.put_topology(TOPOLOGY_DOC)
         clusters = service.get_clusters(k=3)
         pools = service.get_pools()
         for body in (clusters, pools):
-            assert service.encode(body) is service.encode(body) == json.dumps(body).encode()
-        copy = dict(clusters)  # equal, but not the plan's own body
-        assert service.encode(copy) is not service.encode(copy)
-        service.get_clusters(k=2)  # a re-plan drops the old plan's bytes
-        assert service.encode(clusters) is not service.encode(clusters)
-        assert service.encode(clusters) == json.dumps(clusters).encode()
+            assert body.payload is body.payload == json.dumps(body).encode()
+        assert not hasattr(dict(clusters), "payload")  # an equal copy is not stored
         with pytest.raises(ServiceError):
-            service.get_clusters(k=0)
-        current = service.get_clusters(k=2)
-        assert service.encode(current) is service.encode(current)
+            service.get_clusters(k=0)  # a refused re-plan keeps the current bodies
+        assert service.get_clusters(k=3) is clusters
+        assert service.get_pools() is pools
+        replanned = service.get_clusters(k=2)  # a re-plan makes new bodies
+        assert replanned is not clusters and replanned.payload == json.dumps(replanned).encode()
+        assert service.get_pools() is not pools
+        service.put_topology(TOPOLOGY_DOC)  # so does a new upload
+        assert service.get_clusters(k=2) is not replanned
 
     def test_changed_params_rebuild_pools(self, service):
         service.put_topology(TOPOLOGY_DOC)
@@ -770,6 +771,70 @@ def test_plan_bodies_are_encoded_once_per_plan(live_server, monkeypatch):
     # a plan's first GET /clusters and GET /pools encode; repeats send the
     # stored bytes; every other reply, and each body of a new plan, encodes
     assert list(zip(calls, counts)) == list(zip(calls, [1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1]))
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.taken = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.taken += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+def test_each_reply_takes_the_service_lock_at_most_once(live_server, monkeypatch):
+    base, service = live_server
+    lock = CountingLock()
+    monkeypatch.setattr(service, "_lock", lock)
+    calls = [
+        ("PUT", "/topology", TOPOLOGY_DOC),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/clusters?k=3", None),
+        ("GET", "/pools", None),
+        ("POST", "/requests", {"target": "auto", "count": 10}),
+        ("GET", "/stats", None),
+        ("GET", "/no-such-path", None),
+    ]
+    taken = []
+    for call in calls:
+        before = lock.taken
+        assert replay(base, [call])[0][0] == (404 if call[1] == "/no-such-path" else 200)
+        taken.append(lock.taken - before)
+    assert taken == [1, 1, 1, 1, 1, 1, 0]
+
+
+def test_an_upload_is_validated_outside_the_lock(service, monkeypatch):
+    """While one upload is in load_topology, another caller is answered."""
+    service.put_topology(TOPOLOGY_DOC)
+    entered, release = threading.Event(), threading.Event()
+    load_topology = sdnlb.service.load_topology
+
+    def slow_load_topology(document):
+        entered.set()
+        release.wait(10)
+        return load_topology(document)
+
+    monkeypatch.setattr(sdnlb.service, "load_topology", slow_load_topology)
+    stats = []
+    upload = threading.Thread(target=service.put_topology, args=(TOPOLOGY_DOC,))
+    reader = threading.Thread(target=lambda: stats.append(service.get_stats()))
+    upload.start()
+    try:
+        assert entered.wait(5)
+        reader.start()
+        reader.join(1.0)
+        answered = not reader.is_alive()
+    finally:
+        release.set()
+        upload.join(10)
+    reader.join(10)
+    assert answered and stats[0]["total_requests"] == 0
 
 
 def test_concurrent_replans_answer_each_query_with_its_own_plan(live_server, monkeypatch):
