@@ -19,8 +19,8 @@ for pool in pools.pools:
 print("\nten sequential requests to the nearest pool:")
 print(" ", [pools.pool(0).take() for _ in range(10)])
 
-print("\n30 requests split equally over the three pools:")
-counts = distribute_requests(pools.copy(), 30, EqualPerCluster())
+print("\n30 requests split equally over the three pools, counted from each cursor:")
+counts = distribute_requests(pools, 30, EqualPerCluster())  # moves no cursor; servers in pool order
 for server, count in counts.items():
     print(f"  {server:<4} {count}")
 

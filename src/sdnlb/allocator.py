@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .clustering import ClusteringConfig, ClusterModel, cluster, cluster_model_document
-from .topology import FeatureSet, Topology, natural_key
+from .topology import FeatureSet, Topology
 
 
 class AllocationError(ValueError):
@@ -159,19 +159,17 @@ def dispatch_sequence(pools: PoolSet, total_requests: int, split: Split) -> list
 
 
 def distribute_requests(pools: PoolSet, total_requests: int, split: Split) -> dict[str, int]:
-    """Per-server request counts for the split, zero-filled in natural server
-    order: the simulator's one source of counts. An equal split over no pools,
-    an unknown target or a negative count raises AllocationError. Counts and
-    cursors are dispatch_sequence's in closed form: a share s over m members
-    gives the one at offset i from the cursor s // m, plus one if i < s % m."""
-    counts = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
+    """Per-server request counts for the split, zero-filled in pool order;
+    it reads each cursor and moves none. An equal split over no pools, an
+    unknown target or a negative count raises AllocationError. Counts are
+    dispatch_sequence's in closed form: a share s over m members gives the
+    one at offset i from the cursor s // m, plus one if i < s % m."""
+    counts = dict.fromkeys(pools.all_servers(), 0)
     for pool, share in _shares(pools, total_requests, split):
-        size = len(pool.members)
-        base, extra = divmod(share, size)
+        base, extra = divmod(share, len(pool.members))
         rotated = pool.members[pool.cursor:] + pool.members[: pool.cursor]
         for offset, server in enumerate(rotated):
             counts[server] += base + (offset < extra)
-        pool.cursor = (pool.cursor + share) % size
     return counts
 
 

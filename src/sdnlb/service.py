@@ -12,8 +12,10 @@ before it is taken.
 Connections are persistent (HTTP/1.1), each served by its own thread, up to
 MAX_CONNECTIONS at once. Every reply, status line, headers and body, goes to
 the unbuffered socket in one write, so ``Expect: 100-continue`` is answered
-at once. A reply that leaves declared body bytes unread, and every error the
-stdlib itself answers, closes its connection with ``Connection: close``.
+at once. A reply that leaves declared body bytes unread, every error the
+stdlib itself answers, and the refusal of a request whose Content-Length
+values differ or are not digits (400) or that has a Transfer-Encoding (411),
+closes its connection with ``Connection: close``.
 
 Endpoints:
     PUT  /topology                      upload a topology document
@@ -211,9 +213,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _body_unread(self) -> bool:
         """Whether the request declared body bytes that were not read: on a
         persistent connection they would be parsed as the next request."""
-        if "Transfer-Encoding" in self.headers:  # a chunked body is never read
-            return True
-        return not self._body_read and self.headers.get("Content-Length", "0") != "0"
+        return not self._body_read and self._length != 0
 
     def send_error(self, code, message=None, explain=None):
         """The stdlib's own replies (bad request line, no do_ method) as JSON;
@@ -221,16 +221,25 @@ class _Handler(BaseHTTPRequestHandler):
         short, long = self.responses.get(code, ("error", ""))
         self._send(code, {"error": short.lower(), "detail": message or explain or long}, close=True)
 
-    def _read_json(self) -> dict:
-        header = self.headers.get("Content-Length", "0")
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0:
+    def _declared_length(self) -> int:
+        """The one body length the request declares, or a ServiceError for
+        framing a front proxy could read otherwise (RFC 9112 section 6.3):
+        Content-Length values that differ or are not ASCII digits, or any
+        Transfer-Encoding, whose body is not decoded here."""
+        values = list(dict.fromkeys(v.strip(" \t") for v in self.headers.get_all("Content-Length", ())))
+        if len(values) > 1:
+            raise ServiceError(400, "invalid content-length", f"Content-Length values differ: {', '.join(values)}")
+        value = values[0] if values else "0"
+        if not (value.isascii() and value.isdigit()):
             raise ServiceError(
-                400, "invalid content-length", f"Content-Length must be a non-negative integer, got {header!r}"
+                400, "invalid content-length", f"Content-Length must be a non-negative integer, got {value!r}"
             )
+        if "Transfer-Encoding" in self.headers:
+            raise ServiceError(411, "length required", "a Transfer-Encoding body is not read; send a Content-Length")
+        return int(value)
+
+    def _read_json(self) -> dict:
+        length = self._length
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "body too large", f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         try:
@@ -280,6 +289,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self) -> None:
         self._body_read = False
+        try:
+            self._length = self._declared_length()
+        except ServiceError as exc:  # one reply, then close: no byte after it is read as a request
+            self._send(exc.status, exc.body(), close=True)
+            return
         target = urlparse(self.path)
         path = target.path
         methods = self.ROUTES.get(path)

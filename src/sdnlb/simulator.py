@@ -23,7 +23,7 @@ import numpy as np
 from .allocator import (
     AllocationError, EqualPerCluster, Pool, PoolSet, SingleCluster, SingleServer, distribute_requests,
 )
-from .topology import NodeKind, PathMatrix, Topology, TopologyError, natural_key
+from .topology import NodeKind, PathMatrix, Topology, TopologyError
 
 DEFAULT_DURATION_S = 10.0
 DEFAULT_RTT_WINDOW_BYTES = 65536.0
@@ -226,13 +226,12 @@ def _fill_classes(
 
 
 def _link_keys(path: tuple[str, ...], capacity: Mapping[tuple[str, str], float]) -> tuple[tuple[str, str], ...]:
-    """The link key of each hop of the path, found in either orientation (a
-    key holds its endpoints in natural order)."""
+    """Each hop's link key, in either orientation (a key holds its ends in
+    natural order); a missing hop is named as the path lists it."""
     keys = []
     for a, b in zip(path, path[1:]):
         key = (a, b) if (a, b) in capacity else (b, a)
         if key not in capacity:
-            a, b = sorted((a, b), key=natural_key)
             raise SimulationError(f"path {'-'.join(path)}: no link {a}-{b}")
         keys.append(key)
     return tuple(keys)
@@ -251,23 +250,20 @@ def _check_conservation(class_loads, class_links, capacity) -> None:
 # -- experiments --------------------------------------------------------------
 
 
-def _request_counts(scenario: Scenario) -> dict[str, int]:
-    """Each state is a split for the allocator: a burst at one server, round
-    robin over one pool of every server, or an equal share per cluster. Only
-    the equal share moves cursors, so only it copies the caller's pools. The
-    pools must hold server hosts of the topology, each in one pool (see
-    _server_clusters)."""
+def _request_counts(scenario: Scenario, servers: tuple[str, ...]) -> dict[str, int]:
+    """Each state is a split for the allocator, which reads the caller's
+    pools and moves no cursor: a burst at one server, round robin from the
+    first of servers (every pool member, in the topology's order) as one
+    pool, or an equal share per cluster. The counts are keyed in the order
+    of the pools they draw from."""
     pools, state = scenario.pools, scenario.state
     try:
         if isinstance(state, SingleServerBurst):
             total, split = state.requests, SingleServer(state.server_id)
         elif isinstance(state, BigClusterRR):
-            # one pool of every server, from the first, in natural order: the topology's
-            members = set(pools.all_servers())
-            servers = tuple(s for s in scenario.topology.server_ids if s in members)
             pools, total, split = PoolSet([Pool(0, servers, (0.0, 0.0))]), state.requests, SingleCluster(0)
         elif isinstance(state, ClusteredRR):
-            pools, total, split = pools.copy(), state.requests_per_cluster * len(pools.pools), EqualPerCluster()
+            total, split = state.requests_per_cluster * len(pools.pools), EqualPerCluster()
         else:
             raise SimulationError(f"unknown state {state!r}")
         return distribute_requests(pools, total, split)
@@ -298,18 +294,18 @@ def _server_clusters(topology: Topology, pools: PoolSet) -> dict[str, int]:
 
 
 def build_flows(topology: Topology, counts: dict[str, int], paths: PathMatrix) -> list[Flow]:
-    """One concurrent flow per request, user host to server host, in natural
-    server order."""
+    """One concurrent flow per request, user host to server host, in the
+    order of counts."""
     user = topology.user_host_id
     user_switch = topology.user_switch
     flows = []
-    for server in sorted(counts, key=natural_key):
-        if counts[server] == 0:
+    for server, count in counts.items():
+        if count == 0:
             continue
         switch = topology.attached_switch(server)
         path = paths.path(user_switch, switch)
         rtt = 2.0 * paths.delay_between(user_switch, switch)
-        flows.extend([Flow(src=user, dst=server, path=path, rtt_ms=rtt)] * counts[server])
+        flows.extend([Flow(src=user, dst=server, path=path, rtt_ms=rtt)] * count)
     return flows
 
 
@@ -322,7 +318,9 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     clusters, even if no request would reach it."""
     topology = scenario.topology
     server_cluster = _server_clusters(topology, scenario.pools)
-    counts = _request_counts(scenario)
+    # every pool member in the topology's (natural) order: the report's key order
+    servers = tuple(s for s in topology.server_ids if s in server_cluster)
+    counts = _request_counts(scenario, servers)
     routes, adjacency = topology.routes, topology.adjacency
     switch_of = {server: adjacency[server][0] for server, count in counts.items() if count}
     load: dict[str, int] = {}
@@ -334,7 +332,7 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
     rates, _ = _fill_classes(classes, topology.capacity, scenario.rtt_window_bytes)
     rate = dict(zip(switches, rates))
 
-    bandwidth = dict.fromkeys(counts, 0.0)  # counts are in natural order
+    bandwidth = dict.fromkeys(servers, 0.0)
     for server, switch in switch_of.items():
         bandwidth[server] = counts[server] * rate[switch]
     bytes_mb = {s: bw * scenario.duration_s / 8.0 for s, bw in bandwidth.items()}
@@ -342,7 +340,7 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
         label=scenario.state.label,
         topology=topology,
         duration_s=scenario.duration_s,
-        per_server_requests=counts,
+        per_server_requests={s: counts[s] for s in servers},
         per_server_bytes=bytes_mb,
         per_server_bandwidth_mbps=bandwidth,
         user_total_bytes=float(sum(bytes_mb.values())),
@@ -354,7 +352,7 @@ def run_experiment(scenario: Scenario) -> ExperimentReport:
 def report_csv(report: ExperimentReport) -> str:
     """Fixed-format report: one row per server plus a row for the user host."""
     lines = ["entity,kind,requests,bytes_mb,bandwidth_mbps,cluster"]
-    for server in report.per_server_requests:  # natural order, as distribute_requests gave them
+    for server in report.per_server_requests:  # natural order, as run_experiment keys it
         lines.append(
             f"{server},server,{report.per_server_requests[server]},"
             f"{report.per_server_bytes[server]:.4f},"

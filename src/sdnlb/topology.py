@@ -53,8 +53,8 @@ def natural_key(node_id: str) -> tuple:
     The id itself comes last, so the order is total: ids whose numbers tie
     (h01, h1) sort by their text, and no sort depends on input order.
 
-    Memoized with a bounded cache: links, topology sorting and the
-    simulator's server sorts all ask again for the same few ids.
+    Memoized with a bounded cache: links and topology sorting ask again for
+    the same few ids.
     """
     parts = re.split(r"(\d+)", node_id)
     return tuple((0, int(p)) if i % 2 else (1, p) for i, p in enumerate(parts) if p) + ((-1, node_id),)

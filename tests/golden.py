@@ -14,11 +14,14 @@ a 30-request burst at the first member of pool 0, for `BigClusterRR(30)` and
 for `ClusteredRR(10)`, and `compare_reports(...).to_csv()` over the three. A
 call that raises pins its error instead.
 
-List every changed, missing and extra key (exit 1 if there is one):
+List every changed, missing and extra key (exit 1 if there is one), and
+beside them the environment the pins were written in and the running one:
 
     python tests/golden.py --check
 
-Regenerate tests/golden.json after a deliberate output change:
+Regenerate tests/golden.json after a deliberate output change; it also
+records numpy's version and its BLAS and LAPACK, which the spectral digests
+rest on, under the key ENVIRONMENT:
 
     python tests/golden.py --write
 """
@@ -44,6 +47,7 @@ EXCLUDED = {
     "so it depends on the eigenvector basis the eigensolver returns",
 }
 SIMULATOR_OUTPUTS = ("single-server", "big-cluster", "clustered", "compare")
+ENVIRONMENT = "environment"  # the one key of golden.json that is not a digest
 
 
 ONE_SWITCH = {
@@ -170,6 +174,32 @@ def differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
     return lines
 
 
+def check(got: dict[str, str], recorded: dict) -> list[str]:
+    """differences() against the digests of golden.json's contents and, if
+    there is one, the environment the pins were written in and this one."""
+    want = {key: digest for key, digest in recorded.items() if key != ENVIRONMENT}
+    lines = differences(got, want)
+    if lines:
+        pinned_in = json.dumps(recorded.get(ENVIRONMENT, "not recorded"), sort_keys=True)
+        lines += [f"pinned in: {pinned_in}", f"running:   {json.dumps(environment(), sort_keys=True)}"]
+    return lines
+
+
+def environment() -> dict[str, str]:
+    """numpy's version and the name and version of its BLAS and LAPACK; the
+    version alone on a numpy without show_config(mode="dicts") (before 1.26)."""
+    import numpy
+
+    found = {"numpy": numpy.__version__}
+    try:
+        build = numpy.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):
+        return found
+    for library in ("blas", "lapack"):
+        found[library] = f"{build[library]['name']} {build[library]['version']}"
+    return found
+
+
 def main(argv: list[str]) -> int:
     if argv not in (["--write"], ["--check"]):
         print("usage: python tests/golden.py --check | --write", file=sys.stderr)
@@ -178,11 +208,12 @@ def main(argv: list[str]) -> int:
     for case in case_names():
         pins.update(digests(case))
     if argv == ["--check"]:
-        lines = differences(pins, json.loads(GOLDEN.read_text()))
+        lines = check(pins, json.loads(GOLDEN.read_text()))
         print("\n".join(lines) if lines else f"all {len(pins)} digests match {GOLDEN.name}")
         return 1 if lines else 0
+    pins[ENVIRONMENT] = environment()
     GOLDEN.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(pins)} digests to {GOLDEN}")
+    print(f"wrote {len(pins) - 1} digests to {GOLDEN}")
     return 0
 
 

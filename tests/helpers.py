@@ -463,9 +463,10 @@ def per_flow_experiment(scenario) -> tuple[dict[str, int], dict[str, float]]:
     """Per-server counts and bandwidth of a scenario the long way round:
     counts from the states' definition, one Flow per request (build_flows)
     along the all-pairs paths, a rate per flow (max_min_fair_rates),
-    summed per server."""
+    summed per server; both keyed in the topology's order, as a report is."""
     topology = scenario.topology
     counts = request_counts_oracle(scenario.pools, scenario.state)
+    counts = {s: counts[s] for s in topology.server_ids if s in counts}
     flows = build_flows(topology, counts, all_pairs_shortest_paths(topology))
     rates = max_min_fair_rates(flows, topology, scenario.rtt_window_bytes)
     bandwidth = dict.fromkeys(counts, 0.0)
@@ -490,18 +491,18 @@ def random_pool_set(seed: int) -> PoolSet:
 
 
 def request_counts_oracle(pools: PoolSet, state) -> dict[str, int]:
-    """Per-server counts of a workload state, from its definition: a burst
-    lands on its target; big-cluster deals the requests over every server in
-    natural order, the first ones taking one extra; clustered rotates each
-    pool from its own cursor."""
-    servers = sorted(pools.all_servers(), key=natural_key)
-    counts = dict.fromkeys(servers, 0)
+    """Per-server counts of a workload state, from its definition, keyed in
+    the order of the pools the state draws from: a burst lands on its
+    target, and clustered rotates each pool from its own cursor, both over
+    the caller's pools in pool order; big-cluster deals the requests over
+    every server in natural order, the first ones taking one extra."""
+    if isinstance(state, BigClusterRR):
+        servers = sorted(pools.all_servers(), key=natural_key)
+        base, extra = divmod(state.requests, len(servers))
+        return {server: base + (1 if position < extra else 0) for position, server in enumerate(servers)}
+    counts = dict.fromkeys(pools.all_servers(), 0)
     if isinstance(state, SingleServerBurst):
         counts[state.server_id] = state.requests
-    elif isinstance(state, BigClusterRR):
-        base, extra = divmod(state.requests, len(servers))
-        for position, server in enumerate(servers):
-            counts[server] = base + (1 if position < extra else 0)
     else:
         for pool in pools.pools:
             for i in range(state.requests_per_cluster):

@@ -23,7 +23,7 @@ from sdnlb.allocator import (
     truncate_fraction,
 )
 from sdnlb.clustering import ClusteringConfig, ClusteringError, cluster, cluster_model_document, kmeans_cluster
-from sdnlb.topology import all_pairs_shortest_paths, build_paper_topology, natural_key, server_features
+from sdnlb.topology import all_pairs_shortest_paths, build_paper_topology, server_features
 
 from helpers import count_calls, random_connected_topology, random_pool_set
 
@@ -73,6 +73,19 @@ class TestBuildPools:
         assert len(pools.pools) == 9
         assert all(len(p.members) == 1 for p in pools.pools)
 
+    @pytest.mark.parametrize(
+        "members,cursor,message",
+        [
+            ((), 0, "pool 2 has no servers"),
+            (("a", "b", "a"), 0, "pool 2 has duplicate members"),
+            (("a", "b"), 2, "pool 2: cursor out of range"),
+            (("a", "b"), -1, "pool 2: cursor out of range"),
+        ],
+    )
+    def test_bad_pool_is_named(self, members, cursor, message):
+        with pytest.raises(AllocationError, match=f"^{message}$"):
+            Pool(2, members, (0.0, 0.0), cursor)
+
     def test_mismatched_server_count_rejected(self, paper_pools):
         _, features, model, _ = paper_pools
         from dataclasses import replace
@@ -107,7 +120,7 @@ class TestBuildPlan:
     def test_pools_start_with_every_cursor_at_zero(self):
         plan = build_plan(build_paper_topology(), 3, "kmeans", 0)
         pools = plan.pools()
-        distribute_requests(pools, 5, EqualPerCluster())
+        dispatch_sequence(pools, 5, EqualPerCluster())
         assert [p.cursor for p in pools.pools] == [2, 2, 1]
         assert [p.cursor for p in plan.pools().pools] == [0, 0, 0]
 
@@ -157,20 +170,20 @@ class TestAssignRequest:
 class TestDistributeRequests:
     def test_equal_split_30_over_3_clusters(self, paper_pools):
         _, _, _, pools = paper_pools
-        counts = distribute_requests(pools.copy(), 30, EqualPerCluster())
+        counts = distribute_requests(pools, 30, EqualPerCluster())
         per_pool = [[counts[s] for s in p.members] for p in pools.pools]
         assert all(sum(v) == 10 for v in per_pool)
         assert all(sorted(v, reverse=True) == [4, 3, 3] for v in per_pool)
 
     def test_single_server_burst(self, paper_pools):
         _, _, _, pools = paper_pools
-        counts = distribute_requests(pools.copy(), 30, SingleServer("h3"))
+        counts = distribute_requests(pools, 30, SingleServer("h3"))
         assert counts["h3"] == 30
         assert sum(counts.values()) == 30
 
     def test_zero_requests(self, paper_pools):
         _, _, _, pools = paper_pools
-        counts = distribute_requests(pools.copy(), 0, EqualPerCluster())
+        counts = distribute_requests(pools, 0, EqualPerCluster())
         assert set(counts.values()) == {0}
 
     def test_remainder_goes_to_highest_priority(self):
@@ -222,6 +235,11 @@ class TestDistributeRequests:
         assert_counts_are_the_counted_sequence(pools, 10**6 + 3, split)
 
     @pytest.mark.parametrize("dispatch", [dispatch_sequence, distribute_requests])
+    def test_unknown_split_is_named(self, dispatch):
+        with pytest.raises(AllocationError, match="^unknown split 'auto'$"):
+            dispatch(simple_pools(["a"]), 1, "auto")
+
+    @pytest.mark.parametrize("dispatch", [dispatch_sequence, distribute_requests])
     def test_equal_split_over_no_pools_is_named(self, dispatch):
         with pytest.raises(AllocationError, match="at least one pool"):
             dispatch(PoolSet([]), 3, EqualPerCluster())
@@ -233,12 +251,25 @@ class TestDistributeRequests:
 
 
 def assert_counts_are_the_counted_sequence(pools: PoolSet, n: int, split) -> None:
-    counted, sequenced = pools.copy(), pools.copy()
-    counts = distribute_requests(counted, n, split)
-    want = dict.fromkeys(sorted(pools.all_servers(), key=natural_key), 0)
+    """Counting gives the dispatched sequence's counts, keyed in pool order,
+    and moves no cursor; dispatching moves each cursor past its pool's share
+    (a burst takes from a pool of its own)."""
+    cursors = [p.cursor for p in pools.pools]
+    sequenced = pools.copy()
+    counts = distribute_requests(pools, n, split)
+    want = dict.fromkeys(pools.all_servers(), 0)
     want.update(Counter(dispatch_sequence(sequenced, n, split)))
     assert list(counts.items()) == list(want.items())
-    assert [p.cursor for p in counted.pools] == [p.cursor for p in sequenced.pools]
+    assert [p.cursor for p in pools.pools] == cursors
+    if isinstance(split, EqualPerCluster):
+        base, extra = divmod(n, len(pools.pools))
+        shares = [base + (position < extra) for position in range(len(pools.pools))]
+    elif isinstance(split, SingleCluster):
+        shares = [n if p.cluster_index == split.cluster_index else 0 for p in pools.pools]
+    else:
+        shares = [0] * len(pools.pools)
+    advanced = [(cursor + share) % len(p.members) for cursor, share, p in zip(cursors, shares, pools.pools)]
+    assert [p.cursor for p in sequenced.pools] == advanced
 
 
 PRINTED_ROW_AVG_SERVERS = ["9", "4.5", "3", "2.25", "1.8", "1.5", "1.28", "1.125", "1"]

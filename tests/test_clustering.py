@@ -71,6 +71,12 @@ class TestEffectiveK:
             effective_k(0, 5)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_below_an_empty_range_is_refused(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        SplitMix64(0).below(n)
+
+
 class TestSeeding:
     def test_single_point(self):
         features = feature_set([(4.0, 2.0)])

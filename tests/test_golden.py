@@ -9,7 +9,8 @@ from sdnlb.clustering import METHODS
 
 import golden
 
-PINS = json.loads(golden.GOLDEN.read_text())
+RECORDED = json.loads(golden.GOLDEN.read_text())
+PINS = {key: digest for key, digest in RECORDED.items() if key != golden.ENVIRONMENT}
 
 
 @pytest.mark.parametrize("case", golden.case_names())
@@ -27,3 +28,13 @@ def test_corpus_covers_every_case_and_leaves_out_only_the_listed_keys():
     service_and_cli = len(cases) * len(METHODS) * len(golden.KS) * 6 - 6 * len(golden.EXCLUDED)
     simulator = len(cases) * len(golden.KS) * len(golden.SIMULATOR_OUTPUTS)
     assert len(PINS) == service_and_cli + simulator
+
+
+def test_a_changed_digest_is_listed_beside_both_environments():
+    key = min(PINS)
+    assert golden.check(PINS, RECORDED) == []
+    assert golden.check({**PINS, key: "0" * 64}, RECORDED) == [
+        f"changed {key}",
+        f"pinned in: {json.dumps(RECORDED[golden.ENVIRONMENT], sort_keys=True)}",
+        f"running:   {json.dumps(golden.environment(), sort_keys=True)}",
+    ]

@@ -8,6 +8,7 @@ import random
 import select
 import signal
 import socket
+import socketserver
 import subprocess
 import sys
 import threading
@@ -891,6 +892,23 @@ def test_healthz_answers_ok(live_server):
     assert replay(base, [("GET", "/healthz", None)]) == [(200, b'{"status": "ok"}')]
 
 
+def test_an_unexpected_exception_is_500_and_the_connection_stays_open(live_server, monkeypatch):
+    base, service = live_server
+
+    def broken():
+        raise KeyError("counters")
+
+    monkeypatch.setattr(service, "get_stats", broken)
+    with connection(base) as (conn, rfile):
+        conn.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+        status, headers, body = read_reply(rfile)
+        conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        healthz = read_reply(rfile)
+    assert status == "HTTP/1.1 500 Internal Server Error" and "Connection" not in headers
+    assert json.loads(body) == {"error": "internal error", "detail": "'counters'"}
+    assert (healthz[0], healthz[2]) == ("HTTP/1.1 200 OK", b'{"status": "ok"}')
+
+
 SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
@@ -911,12 +929,31 @@ SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
             "invalid content-length",
         ),
         (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}" + SMUGGLED,
+            "400 Bad Request",
+            "invalid content-length",
+        ),
+        (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: %d\r\n\r\n{}" % (2 + len(SMUGGLED))
+            + SMUGGLED,
+            "400 Bad Request",
+            "invalid content-length",
+        ),
+        (
+            b"GET /stats HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: %d\r\n\r\n" % len(SMUGGLED) + SMUGGLED,
+            "400 Bad Request",
+            "invalid content-length",
+        ),
+        (
             b"PUT /topology HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n21\r\n" + SMUGGLED + b"\r\n0\r\n\r\n",
-            "422 Unprocessable Entity",
-            "invalid topology",
+            "411 Length Required",
+            "length required",
         ),
     ],
-    ids=["404", "413", "405", "get-with-body", "bad-content-length", "chunked"],
+    ids=[
+        "404", "413", "405", "get-with-body", "bad-content-length", "signed-length", "two-lengths-put",
+        "two-lengths-get", "chunked",
+    ],
 )
 def test_unread_body_is_not_a_second_request(live_server, request_bytes, status, error):
     base, _ = live_server
@@ -1098,6 +1135,23 @@ def test_connection_past_the_cap_is_answered_503_busy(monkeypatch):
     assert json.loads(body) == {"error": "busy", "detail": "too many open connections"}
 
 
+def test_a_connection_whose_thread_cannot_start_gives_its_slot_back(monkeypatch):
+    monkeypatch.setattr(sdnlb.service, "MAX_CONNECTIONS", 1)
+    server = make_server(port=0)
+
+    def no_thread(self, request, client_address):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", no_thread)
+    try:
+        for _ in range(2):  # were the one slot kept, the second would be answered 503 busy
+            ours, theirs = socket.socketpair()
+            with ours, theirs, pytest.raises(RuntimeError, match="can't start new thread"):
+                server.process_request(ours, ("127.0.0.1", 0))
+    finally:
+        server.server_close()
+
+
 @contextlib.contextmanager
 def serve_subprocess():
     """A `python -m sdnlb serve --port 0` process behind a pipe, and the
@@ -1130,6 +1184,8 @@ def test_serve_prints_listening_line_through_a_pipe():
 def test_serve_exits_on_sigint_while_a_connection_idles():
     with serve_subprocess() as (proc, line):
         with connection(line.rsplit("//", 1)[1].strip()) as (conn, rfile):
+            conn.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert read_reply(rfile)[2] == b'{"status": "ok"}'
             plain_exchange(conn, rfile)  # a handler thread now waits on this idle connection
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=5) == 0

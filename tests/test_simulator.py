@@ -102,6 +102,11 @@ class TestMaxMinFairRates:
         with pytest.raises(SimulationError, match="^path s1-s3: no link s1-s3$"):
             max_min_fair_rates([flow], topo)
 
+    def test_overloaded_link_is_named(self):
+        # the filling never oversubscribes a link; the check still names one that is
+        with pytest.raises(SimulationError, match="^link s1-s2 oversubscribed: 150.0 Mbps$"):
+            sdnlb.simulator._check_conservation([100.0, 50.0], [(("s1", "s2"),)] * 2, {("s1", "s2"): 100.0})
+
     def test_unconstrained_flow_rejected(self):
         topo = chain_topology(2)
         flow = Flow("u1", "v1", ("s1",), rtt_ms=0.0)
@@ -136,6 +141,26 @@ class TestMaxMinFairRates:
         # levels and caps: the same rate bits, rounds and error text
         instance = random_fill_instance(rnd)
         assert fill_outcome(sdnlb.simulator._fill_classes, *instance) == fill_outcome(fill_classes_oracle, *instance)
+
+    def test_links_saturating_in_one_round_add_their_loads_in_link_id_order(self):
+        # round 1 freezes x at s1-s2; round 2 freezes b at s5-s6 and a at
+        # s3-s4, both at 50/3; round 3 gives d what s7-s8 has left. b is
+        # listed before a, so only link-id order adds a's load to s7-s8
+        # before b's, and the other order shows in d's last bits
+        shared = ("s7", "s8")
+        capacity = {("s1", "s2"): 0.8, ("s3", "s4"): 50.0, ("s5", "s6"): 250.0, shared: 396.0}
+        x = ((("s1", "s2"), shared), 0.0, 1)  # rtt 0: no window cap
+        b = ((("s5", "s6"), shared), 0.0, 15)
+        a = ((("s3", "s4"), shared), 0.0, 3)
+        d = ((shared,), 0.0, 1)
+        classes = [x, b, a, d]
+        level = 50.0 / 3
+        link_id_order = 396.0 - ((0.8 + 3 * level) + 15 * level)
+        assert link_id_order != 396.0 - ((0.8 + 15 * level) + 3 * level)
+        rates, rounds = sdnlb.simulator._fill_classes(classes, capacity, BIG_WINDOW)
+        assert ([rate.hex() for rate in rates], rounds) == ([r.hex() for r in (0.8, level, level, link_id_order)], 3)
+        oracle = fill_outcome(fill_classes_oracle, classes, capacity, BIG_WINDOW)
+        assert fill_outcome(sdnlb.simulator._fill_classes, classes, capacity, BIG_WINDOW) == oracle
 
     @pytest.mark.parametrize("seed", range(60))
     def test_fairness_property_on_random_instances(self, seed):
@@ -556,10 +581,39 @@ class TestRequestCounts:
         pools = random_pool_set(seed)
         target = data.draw(st.sampled_from(sorted(pools.all_servers())))
         cursors = [p.cursor for p in pools.pools]
+        servers = tuple(s for s in topo.server_ids if s in pools.all_servers())
         for state in (SingleServerBurst(target, n), BigClusterRR(n), ClusteredRR(n)):
-            counts = sdnlb.simulator._request_counts(Scenario(topo, pools, state))
+            counts = sdnlb.simulator._request_counts(Scenario(topo, pools, state), servers)
             assert list(counts.items()) == list(request_counts_oracle(pools, state).items())
             assert [p.cursor for p in pools.pools] == cursors
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 200))
+    def test_report_keys_follow_the_topology(self, seed, n):
+        # random_pool_set lists pools and members out of natural order
+        pools = random_pool_set(seed)
+        members = set(pools.all_servers())
+        servers = [s for s in POOL_TOPOLOGY.server_ids if s in members]
+        for state in (SingleServerBurst(pools.pools[0].members[0], n), BigClusterRR(n), ClusteredRR(n)):
+            report = run_experiment(Scenario(POOL_TOPOLOGY, pools, state))
+            assert list(report.per_server_requests) == servers
+            assert list(report.per_server_bytes) == servers
+            assert list(report.per_server_bandwidth_mbps) == servers
+
+    def test_counting_copies_no_pools_sorts_no_ids_and_moves_no_cursor(self, monkeypatch):
+        pools = random_pool_set(9)  # no cursor at zero
+        cursors = [p.cursor for p in pools.pools]
+        copies = count_calls(monkeypatch, PoolSet, "copy")
+        keys = count_calls(monkeypatch, sdnlb.topology, "natural_key")
+        for state in (SingleServerBurst("v5", 30), BigClusterRR(30), ClusteredRR(10)):
+            run_experiment(Scenario(POOL_TOPOLOGY, pools, state))
+        assert (len(copies), len(keys)) == (0, 0)
+        assert [p.cursor for p in pools.pools] == cursors
+
+    def test_unknown_state_is_named(self, paper):
+        topo, pools = paper
+        with pytest.raises(SimulationError, match="^unknown state 'burst'$"):
+            run_experiment(Scenario(topo, pools, "burst"))
 
     @pytest.mark.parametrize("state", [SingleServerBurst("h3", -1), BigClusterRR(-1), ClusteredRR(-1)])
     def test_negative_requests_are_named(self, paper, state):
@@ -573,8 +627,17 @@ class TestRequestCounts:
             run_experiment(Scenario(topo, PoolSet([]), ClusteredRR(3)))
 
 
+def _behind_one_switch_link(document: dict) -> dict:
+    """The star document with its user host moved to a new switch s0 one
+    link above s1, so requests to its servers cross a switch link."""
+    document["nodes"].append({"id": "s0", "kind": "switch"})
+    document["links"][0]["b"] = "s0"
+    document["links"].append({"a": "s0", "b": "s1", "delay_ms": 1.0, "capacity_mbps": 100.0})
+    return {**document, "user_switch": "s0"}
+
+
 # v1..v24: every server random_pool_set can draw
-POOL_TOPOLOGY = load_topology(star_document(24))
+POOL_TOPOLOGY = load_topology(_behind_one_switch_link(star_document(24)))
 
 
 def _single_pool(topo):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sdnlb.clustering import ClusteringConfig, kmeans_cluster, spectral_cluster
 from sdnlb.topology import (
+    FeatureSet,
     Link,
     Node,
     NodeKind,
@@ -396,6 +397,10 @@ class TestServerFeatures:
         spectral_cluster(topo, config)
         assert kmeans_cluster(features, config) == first == kmeans_cluster(layered_topology(4, 3, 2).features, config)
         assert features.array is array and array.tolist() == [list(p) for p in features.points]
+
+    def test_points_and_ids_of_differing_length_are_refused(self):
+        with pytest.raises(TopologyError, match="^points and server_ids must be parallel$"):
+            FeatureSet(((1.0, 12.0),), ("h2", "h3"))
 
     def test_feature_order_is_natural(self, paper):
         topo, paths = paper
