@@ -23,9 +23,9 @@ for link in topo.links:
 
 # All-pairs shortest paths over the switch graph: fewest hops, then least
 # accumulated delay, each row the shortest-path tree from its switch. The
-# pipeline itself needs only the user switch's row, topo.tree, which the
-# topology built when it was validated; its routes (topo.routes) are exactly
-# the row's paths from s1.
+# pipeline itself needs only the user switch's row, which the topology
+# computed when it was validated: its routes (topo.routes) are exactly the
+# row's paths from s1, and its features the row's hops and delays.
 paths = all_pairs_shortest_paths(topo)
 print("\nhop matrix (rows/cols:", ", ".join(paths.switch_ids), ")")
 print(paths.hops)

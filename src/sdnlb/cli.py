@@ -229,10 +229,22 @@ def cmd_paper_repro(args) -> int:
     return 1 if failures else 0
 
 
+def _integer(text: str) -> int:
+    """An integer option, in the grammar GET /clusters reads k and seed by."""
+    try:
+        return service_mod.parse_integer(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _port(text: str) -> int:
-    if text.strip().isdecimal() and int(text) <= 65535:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"port must be an integer within 0-65535, got {text!r}")
+    try:
+        port = service_mod.parse_integer(text, "port")
+    except ValueError:  # not -?[0-9]+, or past int's digit limit
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be an integer within 0-65535, got {text!r}")
+    return port
 
 
 @functools.cache  # one parser per process: the options never change
@@ -242,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--topology", help="topology document (JSON); defaults to the bundled 4-level topology")
-        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--k", type=_integer, default=3)
         p.add_argument("--method", choices=METHODS, default="kmeans")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_integer, default=0)
         p.add_argument("--out", help="output file (default: stdout)")
 
     p_cluster = sub.add_parser("cluster", help="cluster servers and emit the model")
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table1", help="capacity/load sweep over k")
     p_table.add_argument("--topology")
-    p_table.add_argument("--requests", type=int, default=30)
+    p_table.add_argument("--requests", type=_integer, default=30)
     p_table.add_argument("--out")
     p_table.set_defaults(fn=cmd_table1)
 
@@ -261,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_exp)
     p_exp.add_argument("--state", choices=("single-server", "big-cluster", "clustered"), required=True)
     p_exp.add_argument("--target", help="server id for --state single-server")
-    p_exp.add_argument("--requests", type=int, default=30)
-    p_exp.add_argument("--requests-per-cluster", type=int, default=10)
+    p_exp.add_argument("--requests", type=_integer, default=30)
+    p_exp.add_argument("--requests-per-cluster", type=_integer, default=10)
     p_exp.add_argument("--duration", type=float, default=10.0)
     p_exp.set_defaults(fn=cmd_experiment)
 

@@ -11,11 +11,13 @@ before it is taken.
 
 Connections are persistent (HTTP/1.1), each served by its own thread, up to
 MAX_CONNECTIONS at once. Every reply, status line, headers and body, goes to
-the unbuffered socket in one write, so ``Expect: 100-continue`` is answered
-at once. A reply that leaves declared body bytes unread, every error the
-stdlib itself answers, and the refusal of a request whose Content-Length
-values differ or are not digits (400) or that has a Transfer-Encoding (411),
-closes its connection with ``Connection: close``.
+the unbuffered socket in one write. ``Expect: 100-continue`` is answered at
+once when a route is about to read the body, its framing and size checked,
+so a refused request gets its refusal alone. A reply that leaves declared
+body bytes unread, every error the stdlib itself answers, and the refusal of
+a request whose Content-Length values differ or are not digits (400) or that
+has a Transfer-Encoding (411), closes its connection with
+``Connection: close``.
 
 Endpoints:
     PUT  /topology                      upload a topology document
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
+import sys
 import threading
 from collections import Counter
 from dataclasses import asdict
@@ -46,6 +50,20 @@ from .topology import TopologyError, load_topology
 MAX_BODY_BYTES = 8 * 2**20  # a scale-L topology document is about 0.4 MiB
 MAX_COUNT = 100_000  # requests per POST /requests; each is listed in the reply
 MAX_CONNECTIONS = 64  # connections served at once, one thread each; one more is answered 503 busy
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_integer(text: str, name: str) -> int:
+    """text as an integer in the one grammar that GET /clusters and the CLI
+    read, -?[0-9]+ in ASCII: no plus sign, space, underscore or other digit.
+    Otherwise, or past int's digit limit, a ValueError names the parameter."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{name} must be an integer (-?[0-9]+), got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int converts
+        digits = len(text.lstrip("-"))
+        raise ValueError(f"{name} has {digits} digits, past int's limit of {sys.get_int_max_str_digits()}") from None
 
 
 class ServiceError(Exception):
@@ -238,10 +256,22 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(411, "length required", "a Transfer-Encoding body is not read; send a Content-Length")
         return int(value)
 
+    def parse_request(self) -> bool:
+        self._continue = False  # until handle_expect_100 says this request asks for it
+        return super().parse_request()
+
+    def handle_expect_100(self) -> bool:
+        """Hold the interim 100 Continue back: _read_json sends it once the
+        framing and size checks pass, so a refusal is the first reply."""
+        self._continue = True
+        return True
+
     def _read_json(self) -> dict:
         length = self._length
         if length > MAX_BODY_BYTES:
             raise ServiceError(413, "body too large", f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
+        if self._continue and length:
+            super().handle_expect_100()  # the stdlib's: the interim reply, written at once
         try:
             raw = self.rfile.read(length) if length else b""
         except TimeoutError:
@@ -261,14 +291,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": "internal error", "detail": str(exc)})
 
     def _get_clusters(self, query: str) -> dict:
-        query = parse_qs(query)
+        params = {}
+        for key, values in parse_qs(query, keep_blank_values=True).items():
+            if len(values) > 1:  # two query strings must not name one plan
+                raise ServiceError(400, "invalid parameter", f"{key} is given {len(values)} times")
+            params[key] = values[0]
         try:
-            k = int(query.get("k", ["3"])[0])
-            seed = int(query.get("seed", ["0"])[0])
+            k = parse_integer(params.get("k", "3"), "k")
+            seed = parse_integer(params.get("seed", "0"), "seed")
         except ValueError as exc:
             raise ServiceError(400, "invalid parameter", str(exc)) from exc
-        method = query.get("method", ["kmeans"])[0]
-        return self.service.get_clusters(k=k, method=method, seed=seed)
+        return self.service.get_clusters(k=k, method=params.get("method", "kmeans"), seed=seed)
 
     def _post_requests(self, query: str) -> dict:
         body = self._read_json()

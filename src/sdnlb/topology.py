@@ -4,12 +4,13 @@ A topology is an undirected graph of switches plus host nodes (one user host
 and any number of server hosts), each host hanging off exactly one switch.
 One rule (_shortest_paths_from: fewest hops, then least delay, then the
 least tied parent) picks every shortest path over the switch graph, hosts
-collapsed onto their switch. From the user switch it gives the
-tree that every route and feature is read off; from every switch it gives
+collapsed onto their switch. Run once from the user switch, during
+validation, it gives the hops, delay and parent that every route and
+feature is read off; run from every switch it gives
 all_pairs_shortest_paths. A Topology is immutable: validation ranks the
 nodes by natural id, sorts the links by their ends' ranks, and builds its
-indexes (lists indexed by rank while it runs) and tree in one pass per
-section; its routes and features are built once, on first use, and shared.
+indexes (lists indexed by rank while it runs) in one pass per section; its
+routes and features are built once, on first use, and shared.
 Two topologies are equal when their nodes, links and user switch are. Node
 and Link are slotted, with hand-written constructors.
 """
@@ -120,14 +121,6 @@ class Route(NamedTuple):
     delay_ms: float
 
 
-class Reach(NamedTuple):
-    """How user_switch reaches one switch (see Topology.tree)."""
-
-    hops: int
-    delay_ms: float
-    parent: str | None
-
-
 @dataclass(frozen=True)
 class Topology:
     """A validated topology. Validation sorts each section once by natural
@@ -149,6 +142,9 @@ class Topology:
     switch_links: tuple[tuple[tuple[int, float], ...], ...] = field(init=False, repr=False, compare=False)
     server_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
     user_host_id: str = field(init=False, repr=False, compare=False)
+    # _shortest_paths_from(switch_links, user switch index): the reached
+    # order, then hops, delay and parent by switch index
+    _from_user: tuple[list[int], list[int], list[float], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # each id's natural key once; the link sort then compares ranks,
@@ -173,7 +169,9 @@ class Topology:
         the per-node neighbour ids and switch slots are lists indexed by it.
         One pass over the links looks each end up once (links are sorted by
         rank pair, so a duplicate is the one equal to the previous) and
-        indexes it; the host checks read those lists; then the tree."""
+        indexes it; the host checks read those lists; then the one rule runs
+        from the user switch, and a switch it leaves unreached, or a host on
+        one, is disconnected."""
         nodes, user_switch = self.nodes, self.user_switch
         # locals, as an enum member lookup costs about as much as the test
         switch_kind, user_kind, server_kind = NodeKind.SWITCH, NodeKind.USER_HOST, NodeKind.SERVER_HOST
@@ -224,24 +222,27 @@ class Topology:
         if neighbours[rank[user_hosts[0]]][0] != user_switch:
             raise TopologyError(f"user host '{user_hosts[0]}' is not attached to user_switch '{user_switch}'")
 
-        adjacency = dict(zip(ids, map(tuple, neighbours)))
+        switch_links = tuple(map(tuple, switch_links))
+        from_user = _shortest_paths_from(switch_links, switch_index[user_switch])
+        hops = from_user[1]
+        if -1 in hops:
+            unreachable = next(
+                node_id
+                for node_id, switch, attached in zip(ids, slot, neighbours)
+                if hops[switch if switch >= 0 else switch_index[attached[0]]] < 0
+            )
+            raise TopologyError(f"graph is disconnected: node '{unreachable}' unreachable")
+
         vars(self).update(
             node_map=dict(zip(ids, nodes)),
-            adjacency=MappingProxyType(adjacency),
+            adjacency=MappingProxyType(dict(zip(ids, map(tuple, neighbours)))),
             switch_ids=switch_ids,
             switch_index=MappingProxyType(switch_index),
-            switch_links=tuple(map(tuple, switch_links)),
+            switch_links=switch_links,
             server_ids=tuple(n.id for n in nodes if n.kind is server_kind),
             user_host_id=user_hosts[0],
+            _from_user=from_user,
         )
-
-        # the tree holds the reachable switches; a host hangs off one switch
-        tree = self.tree
-        if len(tree) < len(switch_ids):
-            unreachable = next(
-                n for n in nodes if (n.id if n.kind is switch_kind else adjacency[n.id][0]) not in tree
-            )
-            raise TopologyError(f"graph is disconnected: node '{unreachable.id}' unreachable")
 
     # -- accessors and views (each built once, on first use) ---------------
 
@@ -288,36 +289,30 @@ class Topology:
         return MappingProxyType({l.key: l.capacity_mbps for l in self.links})
 
     @cached_property
-    def tree(self) -> Mapping[str, Reach]:
-        """Shortest-path tree from user_switch by the one rule (see
-        _shortest_paths_from), breadth-first and read-only. Validation
-        builds it: it holds exactly the switches user_switch reaches."""
-        ids, source = self.switch_ids, self.switch_index[self.user_switch]
-        order, hops, delay, parent = _shortest_paths_from(self.switch_links, source)
-        return MappingProxyType(
-            {ids[v]: Reach(hops[v], delay[v], ids[parent[v]] if parent[v] >= 0 else None) for v in order}
-        )
-
-    @cached_property
     def routes(self) -> Mapping[str, Route]:
-        """The route from user_switch to every switch, walked down the tree
-        (read-only), so ties resolve by the one rule (see
-        _shortest_paths_from). Every route extends its parent's, and its
-        delay is the left-to-right sum of its link delays."""
-        capacity, routes = self.capacity, {}
-        for switch, (_, delay, parent) in self.tree.items():
-            path, links = (switch,), ()
-            if parent is not None:
-                key = (parent, switch) if (parent, switch) in capacity else (switch, parent)
-                path, links = routes[parent].path + path, routes[parent].links + (key,)
-            routes[switch] = Route(path, links, delay)
-        return MappingProxyType(routes)
+        """The route from user_switch to every switch, breadth-first and
+        read-only, by the one rule (see _shortest_paths_from). Every route
+        extends its parent's, and its delay is the left-to-right sum of its
+        link delays. switch_ids and each link's ends are in natural order,
+        so the lesser index of a hop is its link key's first end."""
+        ids, (order, _, delay, parent) = self.switch_ids, self._from_user
+        routes: list[Route | None] = [None] * len(ids)
+        for v in order:
+            p = parent[v]
+            if p < 0:
+                routes[v] = Route((ids[v],), (), delay[v])
+            else:
+                up, key = routes[p], (ids[p], ids[v]) if p < v else (ids[v], ids[p])
+                routes[v] = Route(up.path + (ids[v],), up.links + (key,), delay[v])
+        return MappingProxyType({ids[v]: routes[v] for v in order})
 
     @cached_property
     def features(self) -> FeatureSet:
-        """Per-server (hops, delay) clustering features, read off the tree."""
-        reach = [self.tree[self.adjacency[s][0]] for s in self.server_ids]
-        return FeatureSet(tuple((float(r.hops), r.delay_ms) for r in reach), self.server_ids)
+        """Per-server (hops, delay) clustering features, read off the one
+        rule's run from the user switch."""
+        index, (_, hops, delay, _) = self.switch_index, self._from_user
+        switches = [index[self.adjacency[s][0]] for s in self.server_ids]
+        return FeatureSet(tuple((float(hops[i]), delay[i]) for i in switches), self.server_ids)
 
 
 # -- document ingestion ---------------------------------------------------
@@ -507,9 +502,10 @@ class PathMatrix:
 
 def all_pairs_shortest_paths(topology: Topology) -> PathMatrix:
     """The one shortest-path rule (see _shortest_paths_from) run from every
-    switch: row i is the tree from switch i, so the user_switch row is
-    Topology.tree. Validation makes the switch graph connected, so every
-    pair has a path. The arrays are filled row by row and read-only."""
+    switch: row i holds the shortest paths from switch i, so the user_switch
+    row gives Topology.routes and Topology.features. Validation makes the
+    switch graph connected, so every pair has a path. The arrays are filled
+    row by row and read-only."""
     ids, links = topology.switch_ids, topology.switch_links
     n = len(ids)
     hops = np.empty((n, n), dtype=np.int64)

@@ -42,7 +42,7 @@ from sdnlb.topology import (
     Link,
     Node,
     NodeKind,
-    Reach,
+    Route,
     Topology,
     TopologyError,
     _shortest_paths_from,
@@ -747,14 +747,14 @@ def in_process_reply(service, verb: str, path: str, body: dict | None) -> tuple[
 
 class LoadedTopology(NamedTuple):
     """What a load decides: the sorted sections and the indexes read off
-    them (adjacency and tree as plain dicts; features None without servers,
-    where building them raises)."""
+    them (adjacency and routes as plain dicts; features None without
+    servers, where building them raises)."""
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
     adjacency: dict[str, tuple[str, ...]]
     switch_links: tuple[tuple[tuple[int, float], ...], ...]
-    tree: dict[str, Reach]
+    routes: dict[str, Route]
     features: FeatureSet | None
 
 
@@ -764,7 +764,7 @@ def loaded(topology: Topology) -> LoadedTopology:
         topology.links,
         dict(topology.adjacency),
         topology.switch_links,
-        dict(topology.tree),
+        dict(topology.routes),
         topology.features if topology.server_ids else None,
     )
 
@@ -893,14 +893,22 @@ def _reference_topology(nodes, links, user_switch: str) -> LoadedTopology:
     switch_links = tuple(map(tuple, by_switch))
 
     order, hops, delay, parent = _shortest_paths_from(switch_links, index[user_switch])
-    tree = {
-        switch_ids[v]: Reach(hops[v], delay[v], switch_ids[parent[v]] if parent[v] >= 0 else None) for v in order
-    }
     for node in nodes:
-        if (node.id if node.kind is NodeKind.SWITCH else adjacency[node.id][0]) not in tree:
+        if hops[index[node.id if node.kind is NodeKind.SWITCH else adjacency[node.id][0]]] < 0:
             raise TopologyError(f"graph is disconnected: node '{node.id}' unreachable")
 
+    # each route extends its parent's; a hop's link key has its ends in natural order
+    routes: dict[str, Route] = {}
+    for v in order:
+        switch = switch_ids[v]
+        if parent[v] < 0:
+            routes[switch] = Route((switch,), (), delay[v])
+            continue
+        up = switch_ids[parent[v]]
+        key = tuple(sorted((up, switch), key=natural_key))
+        routes[switch] = Route(routes[up].path + (switch,), routes[up].links + (key,), delay[v])
+
     server_ids = tuple(n.id for n in nodes if n.kind is NodeKind.SERVER_HOST)
-    reach = [tree[adjacency[s][0]] for s in server_ids]
-    features = FeatureSet(tuple((float(r.hops), r.delay_ms) for r in reach), server_ids) if reach else None
-    return LoadedTopology(nodes, links, adjacency, switch_links, tree, features)
+    reached = [index[adjacency[s][0]] for s in server_ids]
+    features = FeatureSet(tuple((float(hops[v]), delay[v]) for v in reached), server_ids) if reached else None
+    return LoadedTopology(nodes, links, adjacency, switch_links, routes, features)

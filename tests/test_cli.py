@@ -347,15 +347,17 @@ class TestOtherCommands:
         assert json.loads(capsys.readouterr().out)["method"] == method
         assert (len(pools), len(exports)) == (0, 0)
 
-    def test_cluster_spectral_builds_the_tree_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("method", ["kmeans", "spectral"])
+    def test_cluster_builds_the_tree_once_and_no_routes(self, method, monkeypatch, capsys):
         import sdnlb.topology
 
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
-        tree_builds = count_builds(monkeypatch, sdnlb.topology.Topology, "tree")
-        assert main(["cluster", "--k", "3", "--method", "spectral"]) == 0
+        runs = count_calls(monkeypatch, sdnlb.topology, "_shortest_paths_from")
+        route_builds = count_builds(monkeypatch, sdnlb.topology.Topology, "routes")
+        assert main(["cluster", "--k", "3", "--method", method]) == 0
         capsys.readouterr()
-        assert len(tree_builds) == 1
-        assert paths_calls == []
+        assert len(runs) == 1  # validation's run from the user switch
+        assert paths_calls == route_builds == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -372,12 +374,12 @@ class TestOtherCommands:
         import sdnlb.topology
 
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
-        tree_builds = count_builds(monkeypatch, sdnlb.topology.Topology, "tree")
+        runs = count_calls(monkeypatch, sdnlb.topology, "_shortest_paths_from")
         if argv == ["paper-repro"]:
             argv = argv + ["--out", str(tmp_path)]
         assert main(argv) == 0
         capsys.readouterr()
-        assert len(tree_builds) == 1
+        assert len(runs) == 1  # one load, and no front-end call runs the rule again
         assert paths_calls == []
 
     def test_cluster_answers_a_1600_switch_chain_in_bounded_time(self, monkeypatch, tmp_path, capsys):
@@ -447,6 +449,40 @@ class TestOtherCommands:
         assert err.startswith("usage: sdnlb serve") and "port must be an integer within 0-65535" in err
         assert main(["serve", "--port=65535"]) == 0
         assert served == [65535]
+
+    @pytest.mark.parametrize(
+        "port", ["\u0668\u0660", " 80", "1" * 5000], ids=["arabic-indic", "space", "past-digit-limit"]
+    )
+    def test_port_outside_the_ascii_grammar_exits_2_without_binding(self, port, monkeypatch, capsys):
+        served = []
+        monkeypatch.setattr(sdnlb.service, "serve", lambda host, port: served.append(port))
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", f"--port={port}"])
+        assert exit_.value.code == 2
+        assert served == []
+        assert "port must be an integer within 0-65535" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["cluster", "--k", "\u0663"], "argument --k: value must be an integer (-?[0-9]+), got '\u0663'"),
+            (["cluster", "--k", "+3"], "argument --k: value must be an integer (-?[0-9]+), got '+3'"),
+            (["cluster", "--seed", "1_0"], "argument --seed: value must be an integer (-?[0-9]+), got '1_0'"),
+            (["table1", "--requests", "\uff13"], "argument --requests: value must be an integer (-?[0-9]+)"),
+            (
+                ["experiment", "--state", "clustered", "--requests-per-cluster", "1_0"],
+                "argument --requests-per-cluster: value must be an integer (-?[0-9]+)",
+            ),
+            (["cluster", "--k", "1" * 5000], "argument --k: value has 5000 digits, past int's limit of"),
+        ],
+        ids=["arabic-indic-k", "plus-k", "underscore-seed", "fullwidth-requests", "underscore-per-cluster", "long-k"],
+    )
+    def test_integer_option_outside_the_ascii_grammar_exits_2(self, argv, shown, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and shown in captured.err
 
     def test_table1_csv(self, capsys):
         assert main(["table1"]) == 0

@@ -668,6 +668,31 @@ PLAIN_REQUEST = b"GET /clusters?k=x HTTP/1.1\r\nHost: x\r\n\r\n"
 PLAIN_REPLY = ("HTTP/1.1 400 Bad Request", "invalid parameter")
 
 
+INTEGER_REFUSALS = {
+    "repeated": ("k=3&k=x", "k is given 2 times"),
+    "repeated-equal": ("k=3&k=3", "k is given 2 times"),
+    "repeated-seed": ("seed=0&method=kmeans&seed=1", "seed is given 2 times"),
+    "blank-k": ("k=", "k must be an integer (-?[0-9]+), got ''"),
+    "blank-seed": ("k=3&seed=", "seed must be an integer (-?[0-9]+), got ''"),
+    "arabic-indic": ("k=%D9%A3", "k must be an integer (-?[0-9]+), got '\u0663'"),
+    "fullwidth": ("seed=%EF%BC%91", "seed must be an integer (-?[0-9]+), got '\uff11'"),
+    "underscore": ("k=1_0", "k must be an integer (-?[0-9]+), got '1_0'"),
+    "plus-sign": ("k=%2B3", "k must be an integer (-?[0-9]+), got '+3'"),
+    "plus-as-space": ("k=+3", "k must be an integer (-?[0-9]+), got ' 3'"),
+    "past-digit-limit": ("k=" + "1" * 5000, f"k has 5000 digits, past int's limit of {sys.get_int_max_str_digits()}"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_REFUSALS)
+def test_integer_parameter_outside_the_ascii_grammar_is_400(live_server, case):
+    # one query string names one plan: -?[0-9]+ in ASCII, each key once
+    base, _ = live_server
+    query, detail = INTEGER_REFUSALS[case]
+    out = requests.get(f"{base}/clusters?{query}")
+    assert out.status_code == 400
+    assert out.json() == {"error": "invalid parameter", "detail": detail}
+
+
 @contextlib.contextmanager
 def connection(base: str):
     """A raw socket to the server and a buffered reader of its replies."""
@@ -1055,6 +1080,36 @@ def test_expect_100_continue_is_answered_before_the_body_is_sent(live_server):
         plain_exchange(conn, rfile)  # the connection stays open
     assert status == "HTTP/1.1 200 OK"
     assert json.loads(reply)["servers"] == 9
+
+
+@pytest.mark.parametrize(
+    "head, status, error",
+    [
+        (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n",
+            "400 Bad Request",
+            "invalid content-length",
+        ),
+        (
+            b"PUT /topology HTTP/1.1\r\nContent-Length: %d\r\n" % (sdnlb.service.MAX_BODY_BYTES + 1),
+            "413 Request Entity Too Large",
+            "body too large",
+        ),
+        (b"PUT /nope HTTP/1.1\r\nContent-Length: 2\r\n", "404 Not Found", "not found"),
+    ],
+    ids=["two-lengths", "too-large", "not-found"],
+)
+def test_expect_100_continue_is_not_sent_before_a_refusal(live_server, head, status, error):
+    # the refusal is the first reply, so a client waiting for 100 Continue
+    # never sends the body of a request that was refused
+    base, _ = live_server
+    with connection(base) as (conn, rfile):
+        conn.sendall(head + b"Host: x\r\nExpect: 100-continue\r\n\r\n")
+        got_status, headers, body = read_reply(rfile)
+        assert closed_after(rfile)
+    assert got_status == f"HTTP/1.1 {status}"
+    assert headers["Connection"] == "close"
+    assert json.loads(body)["error"] == error
 
 
 def test_idle_connection_is_closed_after_the_timeout(live_server, monkeypatch):

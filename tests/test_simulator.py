@@ -358,8 +358,8 @@ class TestRunExperiment:
         assert [p.cursor for p in pools.pools] == cursors
 
     def test_experiments_share_one_tree(self, monkeypatch):
-        # three states on one Topology: validation built the tree from the
-        # user switch at load, so no experiment builds it; the routes and
+        # three states on one Topology: validation ran the shortest-path rule
+        # from the user switch at load, so no experiment runs it; the routes and
         # the capacity table are built once, on first use, and every later
         # experiment reuses them; no experiment computes all-pairs paths
         import sdnlb.topology
@@ -368,7 +368,7 @@ class TestRunExperiment:
         features = server_features(topo, all_pairs_shortest_paths(topo))
         pools = build_pools(kmeans_cluster(features, ClusteringConfig(k=3)), features)
         paths_calls = count_calls(monkeypatch, sdnlb.topology, "all_pairs_shortest_paths")
-        tree_builds = count_builds(monkeypatch, Topology, "tree")
+        runs = count_calls(monkeypatch, sdnlb.topology, "_shortest_paths_from")
         route_builds = count_builds(monkeypatch, Topology, "routes")
         capacity_builds = count_builds(monkeypatch, Topology, "capacity")
         reports = [
@@ -376,8 +376,7 @@ class TestRunExperiment:
             for state in (SingleServerBurst("h3", 30), BigClusterRR(30), ClusteredRR(10))
         ]
         compare_reports(reports)
-        assert paths_calls == []
-        assert tree_builds == []
+        assert paths_calls == runs == []
         assert route_builds == capacity_builds == [topo]
 
     @pytest.mark.parametrize(
@@ -387,12 +386,12 @@ class TestRunExperiment:
     )
     def test_cost_does_not_grow_with_request_count(self, paper, monkeypatch, state_of, pools_served):
         # a million requests cost what a thousand do: no request is taken
-        # from a pool one by one, no flow is built, no tree or route is built
-        # again, and the filling takes as many rounds
+        # from a pool one by one, no flow is built, no shortest path is run
+        # and no route built again, and the filling takes as many rounds
         topo, pools = paper
         run_experiment(Scenario(topo, pools, state_of(1)))  # the first experiment builds the routes
         takes = count_calls(monkeypatch, Pool, "take")
-        tree_builds = count_builds(monkeypatch, Topology, "tree")
+        runs = count_calls(monkeypatch, sdnlb.topology, "_shortest_paths_from")
         route_builds = count_builds(monkeypatch, Topology, "routes")
         flows = count_calls(monkeypatch, sdnlb.simulator, "build_flows")
         fill = sdnlb.simulator._fill_classes
@@ -407,7 +406,7 @@ class TestRunExperiment:
         for requests in (10**3, 10**6):
             report = run_experiment(Scenario(topo, pools, state_of(requests)))
             assert sum(report.per_server_requests.values()) == requests * pools_served
-        assert takes == tree_builds == route_builds == flows == []
+        assert takes == runs == route_builds == flows == []
         assert len(rounds) == 2 and rounds[0] == rounds[1] > 0
 
     def test_routes_and_capacity_wait_for_the_first_experiment(self):

@@ -31,6 +31,7 @@ from helpers import (
     bfs_hop_matrix,
     chain_document,
     count_builds,
+    count_calls,
     layered_topology,
     paper_document_renamed,
     random_connected_topology,
@@ -236,19 +237,20 @@ def tied_graphs(draw) -> Topology:
 
 
 def assert_user_row_is_the_tree(topo: Topology) -> None:
-    """The user switch's row of all_pairs_shortest_paths is Topology.tree,
-    exactly, and the routes and features read off the tree agree with it."""
+    """The user switch's row of all_pairs_shortest_paths is the tree of
+    Topology.routes, exactly: every switch in breadth-first order, each
+    route its hops long, ending in its parent, with its delay; and the
+    features agree with it."""
     paths = all_pairs_shortest_paths(topo)
     user, ids, row = topo.user_switch, topo.switch_ids, topo.switch_index[topo.user_switch]
-    assert list(topo.tree) == list(topo.routes) and set(topo.tree) == set(ids)
-    for switch, (hops, delay, parent) in topo.tree.items():
+    assert list(topo.routes) == sorted(ids, key=lambda s: (paths.hops_between(user, s), topo.switch_index[s]))
+    for switch, (path, links, delay) in topo.routes.items():
         j = topo.switch_index[switch]
-        assert hops == paths.hops_between(user, switch)
-        assert delay == topo.routes[switch].delay_ms == paths.delay_between(user, switch)
-        assert parent == (None if j == row else ids[paths.parent[row, j]])
-        path = paths.path(user, switch)
-        assert topo.routes[switch].path == path
-        assert topo.routes[switch].links == tuple(tuple(sorted(ab, key=natural_key)) for ab in zip(path, path[1:]))
+        assert len(path) - 1 == paths.hops_between(user, switch)
+        assert delay == paths.delay_between(user, switch)
+        assert (path[-2] if len(path) > 1 else None) == (None if j == row else ids[paths.parent[row, j]])
+        assert path == paths.path(user, switch)
+        assert links == tuple(tuple(sorted(ab, key=natural_key)) for ab in zip(path, path[1:]))
     if topo.server_ids:
         assert topo.features == server_features(topo, paths)
 
@@ -291,8 +293,8 @@ def assert_tie_rule_on_every_row(topo: Topology) -> None:
 
 
 class TestRouteTree:
-    """Topology.tree, the routes and features read off it, against the user
-    row of all_pairs_shortest_paths; and every row against the tie rule."""
+    """Topology.routes and features against the user row of
+    all_pairs_shortest_paths; and every row against the tie rule."""
 
     def test_paper_topology_user_row_is_the_tree(self):
         topo = build_paper_topology()
@@ -336,11 +338,9 @@ class TestRouteTree:
         for seed in range(200):
             assert_tie_rule_on_every_row(random_connected_topology(seed, unit_delays=True))
 
-    def test_tree_routes_and_features_are_built_once_and_read_only(self):
+    def test_routes_and_features_are_built_once_and_read_only(self):
         topo = random_connected_topology(3)
-        assert topo.tree is topo.tree and topo.routes is topo.routes and topo.features is topo.features
-        with pytest.raises(TypeError):
-            topo.tree["s1"] = None
+        assert topo.routes is topo.routes and topo.features is topo.features
         with pytest.raises(TypeError):
             topo.routes["s1"] = None
 
@@ -517,13 +517,16 @@ def test_topology_requires_one_user_host():
         Topology(nodes=nodes, links=links, user_switch="s1")
 
 
-def test_tree_and_features_are_computed_once(monkeypatch):
-    tree_builds = count_builds(monkeypatch, Topology, "tree")
+def test_shortest_paths_run_once_per_load(monkeypatch):
+    import sdnlb.topology
+
+    runs = count_calls(monkeypatch, sdnlb.topology, "_shortest_paths_from")
+    route_builds = count_builds(monkeypatch, Topology, "routes")
     topo = build_paper_topology()
-    assert tree_builds == [topo]  # validation builds the tree
-    assert topo.tree is topo.tree and topo.features is topo.features
+    assert len(runs) == 1 and route_builds == []  # validation runs the rule from the user switch
+    assert topo.routes is topo.routes and topo.features is topo.features
+    assert len(runs) == 1 and route_builds == [topo]  # routes and features read that run
     assert topo.features == server_features(topo, all_pairs_shortest_paths(topo))
-    assert tree_builds == [topo]
 
 
 def test_attached_switch_names_an_id_that_is_no_node():
